@@ -21,10 +21,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .coefficients import (SeriesSummary, TailModel, certified_contraction,
+from .coefficients import (SeriesSummary, TailModel, certified_tail_rate,
                            degenerate_moment_bound, sigma2_exact,
                            theta_table_from_chain)
-from .processes import FiniteChain, LsvProcess, lsv_map, path_stream
+from .processes import (FiniteChain, LsvProcess, chain_walk, lsv_running_stats,
+                        path_uniforms)
 
 _CHUNK_ELEMENT_BUDGET = 8_000_000   # replicates x (n+1) doubles per chunk
 
@@ -107,70 +108,63 @@ def _chunk_ranges(replicates: int, n: int) -> list[range]:
             for lo in range(0, replicates, chunk)]
 
 
-def _chain_chunk_stats(chain: FiniteChain, n: int, seed: int, reps: range):
-    """Per-replicate (final_sum, running_max, running_min) integer statistics."""
-    u = np.stack([path_stream(seed, n, rep).random(n + 1) for rep in reps])
-    cum_pi = chain.stationary_cumulative()
-    cum_rows = chain.transition_cumulative()
-    states = np.minimum(np.searchsorted(cum_pi, u[:, 0], side="right"),
-                        chain.n_states - 1)
-    r = len(reps)
+def _chain_running_stats(chain: FiniteChain, u: np.ndarray):
+    """Per-replicate (final_sum, running_max, running_min) integer statistics
+    of the paths driven by uniforms u (r, n+1)."""
+    r = len(u)
     s = np.zeros(r, dtype=np.int64)
     smax = np.zeros(r, dtype=np.int64)   # S_0 = 0 participates in the max
     smin = np.zeros(r, dtype=np.int64)
     obs = chain.obs_int
-    for j in range(1, n + 1):
-        rows = cum_rows[states]
-        states = np.minimum((u[:, j][:, None] > rows).sum(axis=1),
-                            chain.n_states - 1)
+    walk = chain_walk(chain, u)
+    next(walk)                           # xi_0 carries no summand
+    for states in walk:
         s += obs[states]
         np.maximum(smax, s, out=smax)
         np.minimum(smin, s, out=smin)
     return s, smax, smin
 
 
-def _lsv_chunk_stats(process: LsvProcess, n: int, seed: int, reps: range):
-    gens = [path_stream(seed, n, rep) for rep in reps]
-    x = np.array([float(g.random()) for g in gens])
-    for _ in range(process.burn_in):
-        x = lsv_map(process.gamma, x)
-    r = len(reps)
-    s = np.zeros(r)
-    smax = np.zeros(r)
-    smin = np.zeros(r)
-    for _ in range(n):
-        x = lsv_map(process.gamma, x)
-        s += process.observable(x)
-        np.maximum(smax, s, out=smax)
-        np.minimum(smin, s, out=smin)
-    return s, smax, smin
+@dataclass(frozen=True, eq=False)
+class TailSample:
+    """(S_n, max_k S_k, min_k S_k) per replicate path of length n, in process
+    units, S_0 = 0 included.  ``step`` is the lattice step of a lattice chain
+    (None otherwise) and makes tail queries exact.  Unpacks as s, smax, smin."""
+
+    n: int
+    step: float | None
+    s: np.ndarray
+    smax: np.ndarray
+    smin: np.ndarray
+
+    def __iter__(self):
+        return iter((self.s, self.smax, self.smin))
 
 
 def path_statistics(process, n: int, replicates: int, seed: int,
-                    threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S_n, max_k S_k, min_k S_k) across replicates, in process units.
+                    threads: int = 1) -> TailSample:
+    """Simulate a tail sample; the one place where tail samples are simulated.
 
     Chunked lockstep simulation; replicate substreams make the output
     independent of chunking and threading.
     """
     ranges = _chunk_ranges(replicates, n)
     if isinstance(process, FiniteChain):
-        job = lambda rng: _chain_chunk_stats(process, n, seed, rng)
-        scale = process.step
+        job = lambda reps: _chain_running_stats(process, path_uniforms(seed, n, reps))
+        step = process.step
     elif isinstance(process, LsvProcess):
-        job = lambda rng: _lsv_chunk_stats(process, n, seed, rng)
-        scale = 1.0
+        job = lambda reps: lsv_running_stats(process, n, seed, reps)
+        step = None
     else:
         raise TypeError(f"unsupported process type {type(process).__name__}")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(job, ranges))
     else:
-        parts = [job(rng) for rng in ranges]
-    s = np.concatenate([p[0] for p in parts]).astype(float) * scale
-    smax = np.concatenate([p[1] for p in parts]).astype(float) * scale
-    smin = np.concatenate([p[2] for p in parts]).astype(float) * scale
-    return s, smax, smin
+        parts = [job(reps) for reps in ranges]
+    scale = 1.0 if step is None else step
+    s, smax, smin = (np.concatenate(stat).astype(float) * scale for stat in zip(*parts))
+    return TailSample(n=n, step=step, s=s, smax=smax, smin=smin)
 
 
 def _lattice_threshold(x: float, step: float) -> int:
@@ -194,28 +188,35 @@ class TailEstimate:
             raise ValueError("inconsistent confidence interval")
 
 
-def empirical_tail(process, n: int, x: float, replicates: int, seed: int,
-                   statistic: str = "max", threads: int = 1) -> TailEstimate:
-    """Monte Carlo estimate of P(S_n^* >= x) with an exact binomial interval.
+def empirical_tail(sample: TailSample, x: float, statistic: str = "max") -> TailEstimate:
+    """Monte Carlo estimate of P(S_n^* >= x) from a simulated sample, with an
+    exact binomial interval.
 
     ``statistic`` selects the one-sided running maximum (``"max"``) or the
     two-sided ``max_k |S_k|`` (``"absmax"``).  The comparison against x is
     exact on lattice chains (integer threshold).
     """
+    replicates = len(sample.smax)
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
     if statistic not in ("max", "absmax"):
         raise ValueError("statistic must be 'max' or 'absmax'")
-    _, smax, smin = path_statistics(process, n, replicates, seed, threads=threads)
-    stat = smax if statistic == "max" else np.maximum(smax, -smin)
-    if isinstance(process, FiniteChain) and x > 0:
-        thr = _lattice_threshold(x, process.step) * process.step
-        hits = int(np.count_nonzero(stat >= thr - 0.5 * process.step))
+    stat = sample.smax if statistic == "max" else np.maximum(sample.smax, -sample.smin)
+    if sample.step is not None and x > 0:
+        thr = _lattice_threshold(x, sample.step) * sample.step
+        hits = int(np.count_nonzero(stat >= thr - 0.5 * sample.step))
     else:
         hits = int(np.count_nonzero(stat >= x))
     lo, hi = clopper_pearson(hits, replicates)
     return TailEstimate(p_hat=hits / replicates, ci_low=lo, ci_high=hi,
-                        replicates=replicates, n=n, x=x, statistic=statistic)
+                        replicates=replicates, n=sample.n, x=x, statistic=statistic)
+
+
+def _samples_by_n(process, grid, replicates: int, seed: int,
+                  threads: int) -> dict[int, TailSample]:
+    """One simulated sample per distinct n of an (n, x) grid."""
+    return {n: path_statistics(process, n, replicates, seed, threads=threads)
+            for n in dict.fromkeys(n for n, _ in grid)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +315,8 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
     is irrelevant and pinned at the box minimum.  Raises when even the box
     corner fails, which signals a bound violation or broken inputs.
     """
-    ests = [empirical_tail(process, n, x, replicates, seed,
-                           statistic=statistic, threads=threads)
-            for (n, x) in grid]
+    samples = _samples_by_n(process, grid, replicates, seed, threads)
+    ests = [empirical_tail(samples[n], x, statistic=statistic) for (n, x) in grid]
     point_targets = np.array([e.ci_high for e in ests])
     a_pts, b_pts = _grid_terms(summary, sigma2, grid)
     a_env, b_env, u_env = _envelope_constraints(grid, ests, summary, sigma2)
@@ -378,11 +378,11 @@ def validate_constants(process, fit: ConstantsFit, holdout_grid, replicates: int
                        statistic: str = "max", threads: int = 1) -> tuple[bool, list]:
     """Check bound dominance over the holdout grid's upper confidence limits."""
     a, b = _grid_terms(summary, sigma2, holdout_grid)
+    samples = _samples_by_n(process, holdout_grid, replicates, seed, threads)
     rows = []
     ok = True
     for i, (n, x) in enumerate(holdout_grid):
-        est = empirical_tail(process, n, x, replicates, seed,
-                             statistic=statistic, threads=threads)
+        est = empirical_tail(samples[n], x, statistic=statistic)
         rhs = fit.c1 * a[i] + fit.c2 * b[i]
         dominates = rhs >= est.ci_high
         ok = ok and dominates
@@ -396,35 +396,34 @@ def validate_constants(process, fit: ConstantsFit, holdout_grid, replicates: int
 # Series and moment diagnostics
 # ---------------------------------------------------------------------------
 
-def _check_geometric(n_list) -> list[int]:
+def _check_geometric(n_list) -> None:
     ns = [int(n) for n in n_list]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing with >= 2 entries")
     ratios = [b / a for a, b in zip(ns, ns[1:])]
     if max(ratios) / min(ratios) > 1.0 + 1e-9:
         raise ValueError("n_list must be geometric")
-    return ns
 
 
-def series_convergence_check(process, alpha: float, p: float, epsilon: float,
-                             n_list, replicates: int, seed: int,
-                             statistic: str = "max", threads: int = 1) -> dict:
-    """Summands n^{alpha p - 2} P(S_n^* >= eps n^alpha) along a geometric n list.
+def series_convergence_check(samples, alpha: float, p: float, epsilon: float,
+                             statistic: str = "max") -> dict:
+    """Summands n^{alpha p - 2} P(S_n^* >= eps n^alpha) over samples whose n
+    form a geometric list.
 
     ``statistic="max"`` is the nondegenerate check (alpha in (1/2, 1]);
     ``statistic="absmax"`` the degenerate one (alpha in (0, 1)).  The returned
     ``decays`` flag compares the last summand against the first.
     """
-    ns = _check_geometric(n_list)
+    _check_geometric([sample.n for sample in samples])
     if statistic == "max" and not 0.5 < alpha <= 1.0:
         raise ValueError("alpha must lie in (1/2, 1] for the one-sided check")
     if statistic == "absmax" and not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1) for the degenerate check")
     rows = []
-    for n in ns:
+    for sample in samples:
+        n = sample.n
         x = epsilon * n ** alpha
-        est = empirical_tail(process, n, x, replicates, seed,
-                             statistic=statistic, threads=threads)
+        est = empirical_tail(sample, x, statistic=statistic)
         w = n ** (alpha * p - 2.0)
         rows.append({"n": n, "x": x, "p_hat": est.p_hat, "ci_low": est.ci_low,
                      "ci_high": est.ci_high, "summand": w * est.p_hat,
@@ -433,33 +432,32 @@ def series_convergence_check(process, alpha: float, p: float, epsilon: float,
     return {"rows": rows, "decays": bool(last < first or last == 0.0)}
 
 
-def degenerate_moment_check(process: FiniteChain, q: float, n_list, replicates: int,
-                            seed: int, *, r: float = 2.0, p_decay: float = 4.0,
-                            theta_horizon: int = 40, threads: int = 1) -> dict:
+def degenerate_moment_check(process: FiniteChain, q: float, samples, *,
+                            r: float = 2.0, p_decay: float = 4.0,
+                            theta_horizon: int = 40) -> dict:
     """Monte Carlo moments of a degenerate process against the analytic bound.
 
-    Verifies sigma2 == 0, computes E|S_n|^q per n with a normal-approximation
-    interval, compares with the lag-weighted moment bound, and tracks
-    ||S_n^*||_r (two-sided maximum) against C n^{r/p} anchored at the first n.
+    Verifies sigma2 == 0, computes E|S_n|^q per sample with a
+    normal-approximation interval, compares with the lag-weighted moment
+    bound, and tracks ||S_n^*||_r (two-sided maximum) against C n^{r/p}
+    anchored at the first sample's n.
     """
     sig = sigma2_exact(process)
     if abs(sig) > 1e-6:
         raise ValueError("process not degenerate")
-    cr, delta = certified_contraction(process)
-    rate = min(0.999999, delta ** (1.0 / cr))
-    table = theta_table_from_chain(process, 1, 1, theta_horizon,
-                                   TailModel("geometric", rate=rate))
+    tail = TailModel("geometric", rate=certified_tail_rate(process))
+    table = theta_table_from_chain(process, 1, 1, theta_horizon, tail)
     bound = degenerate_moment_bound(process.sup_norm, q, table)
 
     rows = []
-    for n in [int(v) for v in n_list]:
-        s, smax, smin = path_statistics(process, n, replicates, seed, threads=threads)
+    for sample in samples:
+        s, smax, smin = sample
         amax = np.maximum(smax, -smin)
         mq = np.abs(s) ** q
         m_hat = float(mq.mean())
-        m_se = float(mq.std(ddof=1)) / math.sqrt(replicates)
+        m_se = float(mq.std(ddof=1)) / math.sqrt(len(s))
         sup_r = float((amax ** r).mean()) ** (1.0 / r)
-        rows.append({"n": n, "moment_q": m_hat,
+        rows.append({"n": sample.n, "moment_q": m_hat,
                      "moment_ci_low": m_hat - 1.96 * m_se,
                      "moment_ci_high": m_hat + 1.96 * m_se,
                      "bound": bound, "below_bound": bool(m_hat <= bound),

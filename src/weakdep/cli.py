@@ -21,6 +21,7 @@ from .experiments import ExperimentConfig, donsker_wasserstein, run_degenerate_s
     run_lsv_experiment, run_rate_experiment
 from .processes import FiniteChain, LsvProcess, process_from_config, sample_path
 from .reporting import emit_report, write_table_csv
+from .rng import holdout_seed
 
 
 def _load_config(path: str) -> dict:
@@ -67,8 +68,7 @@ def coeffs(config_path, seed, out_dir, threads, p, q, horizon):
     process = process_from_config(doc["process"] if "process" in doc else doc)
     if not isinstance(process, FiniteChain):
         raise click.ClickException("coeffs requires a finite_chain process")
-    r, delta = coef.certified_contraction(process)
-    rate = min(0.999999, delta ** (1.0 / r))
+    rate = coef.certified_tail_rate(process)
     table = coef.theta_table_from_chain(process, p, q, horizon,
                                         coef.TailModel("geometric", rate=rate))
     sigma2 = coef.sigma2_exact(process)
@@ -129,8 +129,11 @@ def bound_fit(config_path, seed, out_dir, threads):
 @click.option("--c1", type=float, required=True)
 @click.option("--c2", type=float, required=True)
 def bound_check(config_path, seed, out_dir, threads, c1, c2):
-    """Check dominance of given constants on the holdout grid."""
+    """Check dominance of given constants on the holdout grid.  Without --seed
+    it runs on rng.holdout_seed of the config seed, never the training paths."""
     doc = _load_config(config_path)
+    if seed is None:
+        seed = holdout_seed(int(doc.get("seed", 0)))
     process, summary, sigma2, n_values, points, replicates, seed, threads = \
         _bound_setup(doc, seed, threads)
     grid = bnd.tail_grid(n_values, points, process.sup_norm, holdout=True)

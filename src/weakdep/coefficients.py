@@ -410,14 +410,19 @@ def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSumm
                          weighted=weighted, sigma2=sigma2, kind=table.kind)
 
 
+def certified_tail_rate(chain: FiniteChain) -> float:
+    """Geometric tail rate delta^(1/r) of the certified contraction (r, delta),
+    capped just below 1."""
+    r, delta = certified_contraction(chain)
+    return min(0.999999, delta ** (1.0 / r))
+
+
 def summarize_chain(chain: FiniteChain, p: int = 4, q: int = 4, horizon: int = 16,
                     tuple_horizon: int = 12) -> SeriesSummary:
     """Series summary of a chain: exact table, certified geometric tail, and
     the certified covariance series."""
-    r, delta = certified_contraction(chain)
-    rate = min(0.999999, delta ** (1.0 / r))
     table = theta_table_from_chain(chain, p, q, horizon,
-                                   TailModel("geometric", rate=rate),
+                                   TailModel("geometric", rate=certified_tail_rate(chain)),
                                    tuple_horizon=tuple_horizon)
     return series_summary(table, sigma2=sigma2_exact(chain))
 

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .coefficients import BudgetExceededError
 from .processes import FiniteChain, _chain_states_from_uniforms, sample_chain_paths
 from .rng import block_stream, path_stream
 
@@ -33,10 +34,6 @@ ATOM_BUDGET = 10**7
 
 _P_LO = float(ndtr(-8.2))
 _P_HI = min(1.0 - _P_LO, float(np.nextafter(1.0, 0.0)))
-
-
-class BudgetExceededError(RuntimeError):
-    pass
 
 
 def gaussian_quantile(p: float) -> float:
@@ -427,9 +424,6 @@ class CouplingErrors:
     first_step_error: float          # |X_1 - Z_1|
     per_level: tuple                  # dicts with level, m, d, d1, d2
     envelope: float                   # first_step_error + sum of D_L
-
-    def d_total(self) -> float:
-        return sum(row["d"] for row in self.per_level)
 
 
 def coupling_errors(path: CoupledPath) -> CouplingErrors:

@@ -19,8 +19,8 @@ import numpy as np
 from .bounds import degenerate_moment_check, path_statistics, series_convergence_check
 from .coefficients import sigma2_exact
 from .coupling import CouplingSchedule, coupling_errors, make_schedule, _couple_path
-from .processes import (FiniteChain, LsvProcess, process_from_config,
-                        process_to_config, sample_chain_paths, sample_lsv_ensemble)
+from .processes import (FiniteChain, LsvProcess, lsv_running_stats,
+                        process_from_config, process_to_config, sample_chain_paths)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -272,10 +272,9 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
     sup_l2 = []
     rows = []
     for n in config.n_list:
-        vals = sample_lsv_ensemble(process, n, config.seed, range(config.replicates))
-        sums = np.cumsum(vals, axis=1)
-        smax = np.max(np.abs(sums), axis=1)
-        level = math.sqrt(float(np.mean(smax ** 2)))
+        _, smax, smin = lsv_running_stats(process, n, config.seed,
+                                          range(config.replicates))
+        level = math.sqrt(float(np.mean(np.maximum(smax, -smin) ** 2)))
         sup_l2.append(level)
         rows.append({"n": int(n), "sup_l2": level})
     direct_slope, direct_se, _, _ = fit_power_law(config.n_list, sup_l2)
@@ -364,13 +363,11 @@ def run_degenerate_suite(config: ExperimentConfig) -> DegenerateReport:
     chain = config.process
     if not isinstance(chain, FiniteChain):
         raise ValueError("the degenerate suite requires an exact lattice chain")
-    moment = degenerate_moment_check(chain, config.moment_q, config.n_list,
-                                     config.replicates, config.seed,
-                                     threads=config.threads)
-    series = series_convergence_check(chain, config.alpha, config.series_p,
-                                      config.series_epsilon, config.n_list,
-                                      config.replicates, config.seed,
-                                      statistic="absmax", threads=config.threads)
+    samples = [path_statistics(chain, n, config.replicates, config.seed,
+                               threads=config.threads) for n in config.n_list]
+    moment = degenerate_moment_check(chain, config.moment_q, samples)
+    series = series_convergence_check(samples, config.alpha, config.series_p,
+                                      config.series_epsilon, statistic="absmax")
     ns = [row["n"] for row in moment["rows"]]
     sups = [row["sup_norm_r"] for row in moment["rows"]]
     sup_growth = _rate_estimate(ns, sups, target=0.0, tolerance=0.05,

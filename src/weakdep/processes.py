@@ -18,15 +18,13 @@ Sampling is deterministic given ``(process, n, seed, replicate)``; see
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .rng import Domain, path_stream
+from .rng import path_stream
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -35,6 +33,7 @@ LATTICE_SNAP_TOL = 1e-9
 # Exact recentering refines the lattice by the denominator of the stationary
 # mean; beyond this the integer representation stops being practical.
 MAX_LATTICE_REFINEMENT = 10**6
+LSV_BLOCK_STEPS = 4096   # time steps per block of the streaming orbit statistics
 
 
 def _as_exact_rows(transition: np.ndarray) -> list[list[Fraction]]:
@@ -143,12 +142,6 @@ class FiniteChain:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def transition_cumulative(self) -> np.ndarray:
-        return np.cumsum(self.transition, axis=1)
-
-    def stationary_cumulative(self) -> np.ndarray:
-        return np.cumsum(self.stationary)
 
 
 def build_finite_chain(transition, observable_raw, step: float, states=None) -> FiniteChain:
@@ -294,8 +287,6 @@ class LsvObservable:
 
     @property
     def sup_norm(self) -> float:
-        if self.kind == "identity":
-            return max(abs(self.center), abs(1.0 - self.center))
         return max(abs(self.center), abs(1.0 - self.center))
 
 
@@ -375,25 +366,45 @@ class SamplePath:
         """One-sided running maximum max_{j<=k} S_j, k = 0..n."""
         return np.maximum.accumulate(self.partial_sums)
 
-    def max_partial_sum(self) -> float:
-        return float(np.max(self.partial_sums))
-
     def max_abs_partial_sum(self) -> float:
         return float(np.max(np.abs(self.partial_sums)))
 
 
+def path_uniforms(seed: int, n: int, replicates: Sequence[int]) -> np.ndarray:
+    """Uniforms (r, n+1) from the path substreams of the given replicates."""
+    u = np.empty((len(replicates), n + 1))
+    for row, rep in zip(u, replicates):
+        path_stream(seed, n, rep).random(out=row)
+    return u
+
+
+def chain_walk(chain: FiniteChain, u: np.ndarray):
+    """Yield the states xi_0..xi_n of r paths, one (r,) array per step, driven
+    by uniforms u (r, n+1); u[:, 0] draws xi_0.
+
+    Exact step rule: from s, go to the number of thresholds cum_rows[s, c],
+    c < S-1, strictly below u_j.  Cumulative rows are nondecreasing, so this
+    is the count over all S columns clipped to S-1.
+    """
+    last = chain.n_states - 1
+    thresholds = np.cumsum(chain.transition, axis=1)[:, :last].T.copy()  # (S-1, S)
+    states = np.minimum(np.searchsorted(np.cumsum(chain.stationary), u[:, 0],
+                                        side="right"), last)
+    yield states
+    for j in range(1, u.shape[1]):
+        u_j = u[:, j]
+        nxt = np.zeros(len(states), dtype=np.int64)
+        for column in thresholds:
+            nxt += u_j > column[states]
+        states = nxt
+        yield states
+
+
 def _chain_states_from_uniforms(chain: FiniteChain, u: np.ndarray) -> np.ndarray:
     """Map uniforms (r, n+1) to state paths (r, n+1); u[:, 0] draws xi_0."""
-    cum_pi = chain.stationary_cumulative()
-    cum_rows = chain.transition_cumulative()
-    r, cols = u.shape
-    states = np.empty((r, cols), dtype=np.int64)
-    states[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right")
-    np.clip(states[:, 0], 0, chain.n_states - 1, out=states[:, 0])
-    for j in range(1, cols):
-        rows = cum_rows[states[:, j - 1]]
-        nxt = (u[:, j][:, None] > rows).sum(axis=1)
-        states[:, j] = np.minimum(nxt, chain.n_states - 1)
+    states = np.empty(u.shape, dtype=np.int64)
+    for j, column in enumerate(chain_walk(chain, u)):
+        states[:, j] = column
     return states
 
 
@@ -403,8 +414,7 @@ def sample_chain_paths(chain: FiniteChain, n: int, seed: int,
     replicate indices, each driven by its own path substream."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    u = np.stack([path_stream(seed, n, rep).random(n + 1) for rep in replicates])
-    states = _chain_states_from_uniforms(chain, u)
+    states = _chain_states_from_uniforms(chain, path_uniforms(seed, n, replicates))
     return states, chain.obs_int[states[:, 1:]]
 
 
@@ -424,15 +434,7 @@ def sample_path(process, n: int, seed: int, replicate: int = 0) -> SamplePath:
             states=states[0],
         )
     if isinstance(process, LsvProcess):
-        gen = path_stream(seed, n, replicate)
-        x = np.array([float(gen.random())])
-        orbit = np.empty(n)
-        for _ in range(process.burn_in):
-            x = lsv_map(process.gamma, x)
-        for k in range(n):
-            x = lsv_map(process.gamma, x)
-            orbit[k] = x[0]
-        values = process.observable(orbit)
+        values = sample_lsv_ensemble(process, n, seed, [replicate])[0]
         return SamplePath(
             values=values,
             partial_sums=np.concatenate(([0.0], np.cumsum(values))),
@@ -441,19 +443,46 @@ def sample_path(process, n: int, seed: int, replicate: int = 0) -> SamplePath:
     raise TypeError(f"unsupported process type {type(process).__name__}")
 
 
+def _lsv_value_blocks(process: LsvProcess, n: int, seed: int,
+                      replicates: Sequence[int], width: int):
+    """Observable values X_1..X_n of the replicate orbits, lockstep across
+    replicates, yielded as (r, width) time blocks (the last may be narrower)."""
+    x = np.array([float(path_stream(seed, n, rep).random()) for rep in replicates])
+    for _ in range(process.burn_in):
+        x = lsv_map(process.gamma, x)
+    for start in range(0, n, width):
+        orbit = np.empty((len(x), min(width, n - start)))
+        for k in range(orbit.shape[1]):
+            x = lsv_map(process.gamma, x)
+            orbit[:, k] = x
+        yield process.observable(orbit)
+
+
 def sample_lsv_ensemble(process: LsvProcess, n: int, seed: int,
                         replicates: Sequence[int]) -> np.ndarray:
     """Observable values (r, n) for LSV orbits, lockstep across replicates."""
-    reps = list(replicates)
-    gens = [path_stream(seed, n, rep) for rep in reps]
-    x = np.array([float(g.random()) for g in gens])
-    for _ in range(process.burn_in):
-        x = lsv_map(process.gamma, x)
-    out = np.empty((len(reps), n))
-    for k in range(n):
-        x = lsv_map(process.gamma, x)
-        out[:, k] = x
-    return process.observable(out)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    (values,) = _lsv_value_blocks(process, n, seed, replicates, n)
+    return values
+
+
+def lsv_running_stats(process: LsvProcess, n: int, seed: int,
+                      replicates: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S_n, max_k S_k, min_k S_k) of the replicate orbits, S_0 = 0 included,
+    in r x LSV_BLOCK_STEPS memory.  Each block's first column takes the running
+    sum before the cumsum, so S_k is added in the order of a whole-orbit cumsum.
+    """
+    s = np.zeros(len(replicates))
+    smax = np.zeros(len(replicates))
+    smin = np.zeros(len(replicates))
+    for values in _lsv_value_blocks(process, n, seed, replicates, LSV_BLOCK_STEPS):
+        values[:, 0] += s
+        sums = np.cumsum(values, axis=1)
+        s = sums[:, -1]
+        np.maximum(smax, sums.max(axis=1), out=smax)
+        np.minimum(smin, sums.min(axis=1), out=smin)
+    return s, smax, smin
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +507,7 @@ def symmetrize(chain: FiniteChain) -> FiniteChain:
     obs = [chain.observable[i] - chain.observable[j] for (i, j) in pairs]
     labels = tuple((chain.states[i], chain.states[j]) for (i, j) in pairs)
     out = build_finite_chain(t, obs, chain.step, states=labels)
-    return FiniteChain(
-        states=out.states, transition=out.transition, stationary=out.stationary,
-        observable=out.observable, step=out.step, obs_int=out.obs_int,
-        sup_norm=out.sup_norm, exact_transition=out.exact_transition,
-        exact_stationary=out.exact_stationary,
-        process_id=chain.process_id + "_symmetrized",
-    )
+    return replace(out, process_id=chain.process_id + "_symmetrized")
 
 
 def make_coboundary(chain: FiniteChain, g_values) -> FiniteChain:
@@ -512,14 +535,8 @@ def make_coboundary(chain: FiniteChain, g_values) -> FiniteChain:
     support = [i for i in range(chain.n_states) if chain.exact_stationary[i] > 0]
     g_spread = float((max(g_int[i] for i in support)
                       - min(g_int[i] for i in support)) * chain.step)
-    return FiniteChain(
-        states=out.states, transition=out.transition, stationary=out.stationary,
-        observable=out.observable, step=out.step, obs_int=out.obs_int,
-        sup_norm=out.sup_norm, exact_transition=out.exact_transition,
-        exact_stationary=out.exact_stationary,
-        process_id=chain.process_id + "_coboundary",
-        sup_path_bound=g_spread,
-    )
+    return replace(out, process_id=chain.process_id + "_coboundary",
+                   sup_path_bound=g_spread)
 
 
 # ---------------------------------------------------------------------------
@@ -563,17 +580,6 @@ def process_from_config(doc: dict):
             burn_in=int(doc.get("burn_in", 10_000)),
         )
     raise ValueError(f"unknown process type {kind!r}")
-
-
-def save_process(process, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(process_to_config(process), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_process(path):
-    with open(path) as fh:
-        return process_from_config(json.load(fh))
 
 
 def path_to_csv(path: SamplePath, file) -> None:

@@ -14,8 +14,10 @@ Address layout used by the package:
 * ``BLOCK``   streams: one per coupling block, ``a = (n << 32) | replicate``,
   ``b = serial`` (level-major block index, 0 reserved for the first
   increment of the Gaussian partner path).
-* ``TAIL`` / ``MOMENT`` / ``ORBIT`` streams: one per Monte Carlo replicate of
-  the corresponding estimator, same ``(a, b)`` layout as ``PATH``.
+
+A holdout check given no seed of its own runs on ``holdout_seed(seed) = seed
+XOR 0x5851F42D4C957F2D`` of its training seed: never the training seed, and
+63-bit when the training seed is.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ _MASK64 = (1 << 64) - 1
 class Domain(IntEnum):
     PATH = 1
     BLOCK = 2
-    TAIL = 3
-    MOMENT = 4
-    ORBIT = 5
 
 
 def substream(seed: int, domain: int, a: int = 0, b: int = 0) -> np.random.Generator:
@@ -54,5 +53,6 @@ def block_stream(seed: int, n: int, replicate: int, serial: int) -> np.random.Ge
     return substream(seed, Domain.BLOCK, (n << 32) | replicate, serial)
 
 
-def replicate_stream(seed: int, domain: int, n: int, replicate: int) -> np.random.Generator:
-    return substream(seed, domain, n, replicate)
+def holdout_seed(seed: int) -> int:
+    """Default seed of a holdout check whose training run used `seed`."""
+    return seed ^ 0x5851F42D4C957F2D   # fixed forever

@@ -155,3 +155,20 @@ def covariance_series_partial(chain, kmax):
         g = p @ g
         total += 2.0 * float(pi @ (f * g))
     return total
+
+
+def chain_states_loop(chain, u):
+    """Reference chain stepper: each step compares u_j with the whole
+    cumulative row of the current state, an (r, S) temporary, and clips the
+    count to the last state.  u (r, n+1) maps to states (r, n+1); u[:, 0]
+    draws xi_0 from the stationary law."""
+    cum_pi = np.cumsum(chain.stationary)
+    cum_rows = np.cumsum(chain.transition, axis=1)
+    last = chain.n_states - 1
+    r, cols = u.shape
+    states = np.empty((r, cols), dtype=np.int64)
+    states[:, 0] = np.minimum(np.searchsorted(cum_pi, u[:, 0], side="right"), last)
+    for j in range(1, cols):
+        rows = cum_rows[states[:, j - 1]]
+        states[:, j] = np.minimum((u[:, j][:, None] > rows).sum(axis=1), last)
+    return states

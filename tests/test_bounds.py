@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from weakdep import (FukNagaevParams, empirical_tail, fit_constants, flip_chain,
                      fuk_nagaev_rhs, make_coboundary, series_summary, tail_grid,
                      validate_constants)
+from weakdep import bounds, experiments
 from weakdep.bounds import (clopper_pearson, degenerate_moment_check,
                             params_from_summary, path_statistics,
                             series_convergence_check)
 from weakdep.coefficients import TailModel, ThetaTable, summarize_chain
+from weakdep.experiments import ExperimentConfig, run_degenerate_suite
 
 from _oracles import srw_max_tail_dp, srw_max_tail_reflection
 
@@ -80,43 +82,45 @@ def test_polynomial_regime_slope():
 # ---------------------------------------------------------------------------
 
 def test_tail_at_zero_is_one(flip25):
-    est = empirical_tail(flip25, 50, 0.0, 200, seed=1)
+    est = empirical_tail(path_statistics(flip25, 50, 200, seed=1), 0.0)
     assert est.p_hat == 1.0
 
 
 def test_tail_above_range_is_zero(flip25):
-    est = empirical_tail(flip25, 50, 51.0, 200, seed=1)
+    est = empirical_tail(path_statistics(flip25, 50, 200, seed=1), 51.0)
     assert est.p_hat == 0.0
     assert est.ci_low == 0.0
 
 
 def test_tail_needs_replicates(flip25):
     with pytest.raises(ValueError, match="replicates"):
-        empirical_tail(flip25, 50, 1.0, 10, seed=1)
+        empirical_tail(path_statistics(flip25, 50, 10, seed=1), 1.0)
 
 
 def test_tail_matches_walk_oracle(iid_chain):
     exact = srw_max_tail_dp(100, 10)
     assert exact == pytest.approx(srw_max_tail_reflection(100, 10), abs=1e-12)
-    est = empirical_tail(iid_chain, 100, 10.0, 20_000, seed=7)
+    est = empirical_tail(path_statistics(iid_chain, 100, 20_000, seed=7), 10.0)
     assert est.ci_low <= exact <= est.ci_high
 
 
 def test_tail_monotone_in_x(flip25):
+    sample = path_statistics(flip25, 64, 2000, seed=3)
     xs = [2.0, 5.0, 9.0, 14.0, 20.0]
-    ps = [empirical_tail(flip25, 64, x, 2000, seed=3).p_hat for x in xs]
+    ps = [empirical_tail(sample, x).p_hat for x in xs]
     assert all(b <= a for a, b in zip(ps, ps[1:]))
 
 
 def test_tail_thread_count_invariance(flip25):
-    a = empirical_tail(flip25, 128, 12.0, 3000, seed=9, threads=1)
-    b = empirical_tail(flip25, 128, 12.0, 3000, seed=9, threads=3)
+    a = empirical_tail(path_statistics(flip25, 128, 3000, seed=9, threads=1), 12.0)
+    b = empirical_tail(path_statistics(flip25, 128, 3000, seed=9, threads=3), 12.0)
     assert a == b
 
 
 def test_tail_statistic_absmax_dominates_max(flip25):
-    one = empirical_tail(flip25, 64, 10.0, 2000, seed=5, statistic="max")
-    two = empirical_tail(flip25, 64, 10.0, 2000, seed=5, statistic="absmax")
+    sample = path_statistics(flip25, 64, 2000, seed=5)
+    one = empirical_tail(sample, 10.0, statistic="max")
+    two = empirical_tail(sample, 10.0, statistic="absmax")
     assert two.p_hat >= one.p_hat
 
 
@@ -132,7 +136,7 @@ def test_lsv_tail_estimate_runs():
     from weakdep.processes import LsvObservable, LsvProcess
     proc = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),
                       burn_in=100)
-    est = empirical_tail(proc, 64, 2.0, 200, seed=2)
+    est = empirical_tail(path_statistics(proc, 64, 200, seed=2), 2.0)
     assert 0.0 <= est.p_hat <= 1.0
 
 
@@ -180,6 +184,48 @@ def test_fit_constants_holdout_transfer(flip_summary):
     assert len(rows) == len(hold)
 
 
+def test_fit_and_validate_rows_match_fresh_simulation(flip_summary):
+    chain, summ = flip_summary
+    train = tail_grid([64, 128], 3, chain.sup_norm)
+    hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
+    fit = fit_constants(chain, train, 1000, seed=41, summary=summ,
+                        sigma2=summ.sigma2)
+    _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ,
+                                 sigma2=summ.sigma2)
+    for grid, got, seed in ((train, fit.rows, 41), (hold, rows, 42)):
+        assert len(got) == len(grid)
+        for (n, x), row in zip(grid, got):
+            fresh = empirical_tail(path_statistics(chain, n, 1000, seed), x)
+            got_row = (row["n"], row["x"], row["p_hat"], row["ci_low"], row["ci_high"])
+            assert got_row == (n, x, fresh.p_hat, fresh.ci_low, fresh.ci_high)
+
+
+def test_one_simulation_per_distinct_n(monkeypatch, flip_summary):
+    calls = []
+    simulate = bounds.path_statistics
+
+    def counting(process, n, replicates, seed, threads=1):
+        calls.append(n)
+        return simulate(process, n, replicates, seed, threads=threads)
+
+    monkeypatch.setattr(bounds, "path_statistics", counting)
+    monkeypatch.setattr(experiments, "path_statistics", counting)
+    chain, summ = flip_summary
+    fit = fit_constants(chain, tail_grid([64, 128], 3, chain.sup_norm), 1000,
+                        seed=1, summary=summ, sigma2=summ.sigma2)
+    assert calls == [64, 128]
+    calls.clear()
+    hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
+    validate_constants(chain, fit, hold, 1000, seed=2, summary=summ,
+                       sigma2=summ.sigma2)
+    assert calls == [64, 128]
+    calls.clear()
+    cob = make_coboundary(chain, [1.0, -1.0])
+    run_degenerate_suite(ExperimentConfig(process=cob, n_list=[16, 64, 256],
+                                          replicates=200, seed=3, alpha=0.5))
+    assert calls == [16, 64, 256]
+
+
 def test_fit_constants_degenerate_uses_only_c2(flip_summary):
     chain, _ = flip_summary
     cob = make_coboundary(chain, [1.0, -1.0])
@@ -213,10 +259,13 @@ def test_series_summands_decrease_exact_oracle():
     assert all(b < a for a, b in zip(tail, tail[1:]))
 
 
+def samples(process, n_list, replicates, seed):
+    return [path_statistics(process, n, replicates, seed) for n in n_list]
+
+
 def test_series_convergence_check_walk(iid_chain):
-    out = series_convergence_check(iid_chain, 0.75, 4.0, 1.0,
-                                   [2 ** k for k in range(8, 13)],
-                                   replicates=2000, seed=17)
+    out = series_convergence_check(
+        samples(iid_chain, [2 ** k for k in range(8, 13)], 2000, 17), 0.75, 4.0, 1.0)
     assert out["decays"]
     for row in out["rows"]:
         exact = srw_max_tail_dp(row["n"], math.ceil(row["x"]))
@@ -224,31 +273,28 @@ def test_series_convergence_check_walk(iid_chain):
 
 
 def test_series_epsilon_scaling_weakly_decreases(iid_chain):
-    ns = [2 ** k for k in range(8, 12)]
-    small = series_convergence_check(iid_chain, 0.75, 4.0, 1.0, ns,
-                                     replicates=1500, seed=23)
-    large = series_convergence_check(iid_chain, 0.75, 4.0, 2.0, ns,
-                                     replicates=1500, seed=23)
+    sims = samples(iid_chain, [2 ** k for k in range(8, 12)], 1500, 23)
+    small = series_convergence_check(sims, 0.75, 4.0, 1.0)
+    large = series_convergence_check(sims, 0.75, 4.0, 2.0)
     for a, b in zip(small["rows"], large["rows"]):
         assert b["summand"] <= a["summand"]
 
 
 def test_series_alpha_validation(iid_chain):
+    sims = samples(iid_chain, [256, 512], 200, 1)
     with pytest.raises(ValueError, match="alpha"):
-        series_convergence_check(iid_chain, 0.4, 4.0, 1.0, [256, 512],
-                                 replicates=200, seed=1)
+        series_convergence_check(sims, 0.4, 4.0, 1.0)
     with pytest.raises(ValueError, match="alpha"):
-        series_convergence_check(iid_chain, 0.4, 4.0, 1.0, [256, 512],
-                                 replicates=200, seed=1, statistic="max")
+        series_convergence_check(sims, 0.4, 4.0, 1.0, statistic="max")
     with pytest.raises(ValueError, match="geometric"):
-        series_convergence_check(iid_chain, 0.75, 4.0, 1.0, [256, 300, 512],
-                                 replicates=200, seed=1)
+        series_convergence_check(samples(iid_chain, [256, 300, 512], 200, 1),
+                                 0.75, 4.0, 1.0)
 
 
 def test_degenerate_series_vanishes_beyond_path_bound(flip25):
     cob = make_coboundary(flip25, [1.0, -1.0])
-    out = series_convergence_check(cob, 0.5, 4.0, 1.0, [16, 64, 256, 1024],
-                                   replicates=500, seed=3, statistic="absmax")
+    out = series_convergence_check(samples(cob, [16, 64, 256, 1024], 500, 3),
+                                   0.5, 4.0, 1.0, statistic="absmax")
     for row in out["rows"]:
         if row["x"] > cob.sup_path_bound:
             assert row["p_hat"] == 0.0
@@ -256,7 +302,7 @@ def test_degenerate_series_vanishes_beyond_path_bound(flip25):
 
 def test_degenerate_moment_check_below_bound(flip25):
     cob = make_coboundary(flip25, [1.0, -1.0])
-    out = degenerate_moment_check(cob, 2.0, [100, 1000], replicates=2000, seed=29)
+    out = degenerate_moment_check(cob, 2.0, samples(cob, [100, 1000], 2000, 29))
     for row in out["rows"]:
         assert row["below_bound"]
         assert row["moment_q"] <= out["bound"]
@@ -268,12 +314,12 @@ def test_degenerate_moment_check_below_bound(flip25):
 
 def test_degenerate_moment_check_rejects_nondegenerate(flip25):
     with pytest.raises(ValueError, match="not degenerate"):
-        degenerate_moment_check(flip25, 2.0, [100, 1000], replicates=500, seed=1)
+        degenerate_moment_check(flip25, 2.0, samples(flip25, [100, 1000], 500, 1))
 
 
 def test_degenerate_null_observable_moments_zero(flip25):
     cob = make_coboundary(flip25, [2.0, 2.0])
-    out = degenerate_moment_check(cob, 1.0, [100, 1000], replicates=500, seed=1)
+    out = degenerate_moment_check(cob, 1.0, samples(cob, [100, 1000], 500, 1))
     for row in out["rows"]:
         assert row["moment_q"] == 0.0
 

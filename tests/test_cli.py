@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from weakdep.cli import main
+from weakdep.rng import holdout_seed
 
 
 @pytest.fixture()
@@ -47,6 +48,24 @@ def test_bound_fit_and_check(tmp_path, chain_doc):
     assert result.exit_code == 0, result.output
     checked = json.loads((out_check / "summary.json").read_text())["summary"]
     assert checked["dominates_holdout"] is True
+
+
+def test_bound_check_default_seed_differs_from_fit(tmp_path, chain_doc):
+    cfg = write_config(tmp_path, {
+        "process": chain_doc, "grid_n": [32, 64], "points_per_n": 2,
+        "replicates": 400, "seed": 3, "theta_horizon": 6})
+
+    def used_seed(*args):
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        result = CliRunner().invoke(main, ["bound", *args, "--config", cfg,
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return json.loads((out / "summary.json").read_text())["config"]["seed"]
+
+    check = ["check", "--c1", "1.0", "--c2", "1.0"]
+    assert used_seed("fit") == 3
+    assert used_seed(*check) == holdout_seed(3) != 3
+    assert used_seed(*check, "--seed", "3") == 3
 
 
 def test_couple_run(tmp_path, chain_doc):

@@ -10,7 +10,9 @@ from weakdep import (ExperimentConfig, donsker_wasserstein, emit_report,
                      run_rate_experiment, sigma2_exact)
 from weakdep.coupling import build_coupling, coupling_errors
 from weakdep.experiments import donsker_sup_distance, fit_power_law
-from weakdep.processes import LsvObservable, LsvProcess
+from weakdep import processes
+from weakdep.bounds import path_statistics
+from weakdep.processes import LsvObservable, LsvProcess, sample_lsv_ensemble
 
 
 def small_config(chain, **kw):
@@ -92,6 +94,25 @@ def test_lsv_target_rule():
     assert report.target == 0.25
     assert report.surrogate is None
     assert report.direct_rows
+
+
+def test_lsv_direct_rows_match_full_orbit_matrix(monkeypatch):
+    # Blocks of 7 steps force carries across block edges at every n.
+    monkeypatch.setattr(processes, "LSV_BLOCK_STEPS", 7)
+    process = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),
+                         burn_in=50)
+    cfg = ExperimentConfig(process=process, n_list=[20, 40, 80], replicates=16,
+                           seed=5)
+    report = run_lsv_experiment(cfg)
+    for row in report.direct_rows:
+        vals = sample_lsv_ensemble(process, row["n"], 5, range(16))
+        sums = np.cumsum(vals, axis=1)
+        smax = np.max(np.abs(sums), axis=1)
+        assert row["sup_l2"] == math.sqrt(float(np.mean(smax ** 2)))
+        s, smax, smin = path_statistics(process, row["n"], 16, seed=5)
+        assert np.array_equal(s, sums[:, -1])
+        assert np.array_equal(smax, np.maximum(sums.max(axis=1), 0.0))
+        assert np.array_equal(smin, np.minimum(sums.min(axis=1), 0.0))
 
 
 def test_lsv_gamma_out_of_range_rejected():

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from weakdep import (build_finite_chain, flip_chain, lsv_iterate,
                      make_coboundary, normalize_process, sample_path,
                      sigma2_exact, symmetrize)
-from weakdep.processes import (LsvObservable, LsvProcess, lsv_reference_mean,
+from weakdep.bounds import _chain_running_stats
+from weakdep.processes import (FiniteChain, LsvObservable, LsvProcess,
+                               _chain_states_from_uniforms, lsv_reference_mean,
                                path_to_csv, process_from_config,
                                process_to_config, sample_lsv_ensemble)
+
+from _oracles import chain_states_loop
 
 
 def test_flip_chain_stationary_and_sup_norm():
@@ -149,6 +153,36 @@ def test_lsv_centered_mean_drift_small():
                          burn_in=10 ** 4)
     path = sample_path(process, 10 ** 5, seed=5)
     assert abs(float(np.mean(path.values))) < 0.01
+
+
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60)
+def test_chain_kernel_matches_reference_loop(n_states, seed):
+    # Random lattice chains with zero transition entries; a fifth of the
+    # uniforms sit exactly on a threshold, where "strictly below" decides.
+    rng = np.random.default_rng(seed)
+    shape = (n_states, n_states)
+    weights = rng.integers(0, 4, size=shape) * (rng.random(shape) < 0.6)
+    weights[weights.sum(axis=1) == 0, 0] = 1
+    transition = weights / weights.sum(axis=1, keepdims=True)
+    obs = rng.integers(-3, 4, size=n_states)
+    chain = FiniteChain(states=tuple(range(n_states)), transition=transition,
+                        stationary=np.full(n_states, 1.0 / n_states),
+                        observable=obs.astype(float), step=1.0, obs_int=obs,
+                        sup_norm=float(np.abs(obs).max()), exact_transition=(),
+                        exact_stationary=())
+    u = rng.random((int(rng.integers(1, 40)), int(rng.integers(2, 60))))
+    ties = rng.random(u.shape) < 0.2
+    u[ties] = rng.choice(np.cumsum(transition, axis=1).ravel(), size=int(ties.sum()))
+
+    reference = chain_states_loop(chain, u)
+    assert np.array_equal(_chain_states_from_uniforms(chain, u), reference)
+    sums = np.cumsum(obs[reference[:, 1:]], axis=1)
+    s, smax, smin = _chain_running_stats(chain, u)
+    assert np.array_equal(s, sums[:, -1])
+    assert np.array_equal(smax, np.maximum(sums.max(axis=1), 0))
+    assert np.array_equal(smin, np.minimum(sums.min(axis=1), 0))
 
 
 def test_lsv_ensemble_matches_single_paths():
