@@ -132,10 +132,9 @@ def bound_check(config_path, seed, out_dir, threads, c1, c2):
     """Check dominance of given constants on the holdout grid.  Without --seed
     it runs on rng.holdout_seed of the config seed, never the training paths."""
     doc = _load_config(config_path)
-    if seed is None:
-        seed = holdout_seed(int(doc.get("seed", 0)))
-    process, summary, sigma2, n_values, points, replicates, seed, threads = \
+    process, summary, sigma2, n_values, points, replicates, run_seed, threads = \
         _bound_setup(doc, seed, threads)
+    seed = holdout_seed(run_seed) if seed is None else run_seed
     grid = bnd.tail_grid(n_values, points, process.sup_norm, holdout=True)
     fit = bnd.ConstantsFit(c1=c1, c2=c2)
     ok, rows = bnd.validate_constants(process, fit, grid, replicates, seed,

@@ -363,6 +363,8 @@ def run_degenerate_suite(config: ExperimentConfig) -> DegenerateReport:
     chain = config.process
     if not isinstance(chain, FiniteChain):
         raise ValueError("the degenerate suite requires an exact lattice chain")
+    if abs(sigma2_exact(chain)) > 1e-6:
+        raise ValueError("process not degenerate")
     samples = [path_statistics(chain, n, config.replicates, config.seed,
                                threads=config.threads) for n in config.n_list]
     moment = degenerate_moment_check(chain, config.moment_q, samples)

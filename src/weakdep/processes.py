@@ -392,11 +392,9 @@ def chain_walk(chain: FiniteChain, u: np.ndarray):
                                         side="right"), last)
     yield states
     for j in range(1, u.shape[1]):
-        u_j = u[:, j]
-        nxt = np.zeros(len(states), dtype=np.int64)
-        for column in thresholds:
-            nxt += u_j > column[states]
-        states = nxt
+        # One gather per step; in the (S-1, r) layout the count is a sum of
+        # rows, which numpy does faster than a sum over a short last axis.
+        states = (u[:, j] > thresholds.take(states, axis=1)).sum(axis=0)
         yield states
 
 
@@ -461,10 +459,8 @@ def _lsv_value_blocks(process: LsvProcess, n: int, seed: int,
 def sample_lsv_ensemble(process: LsvProcess, n: int, seed: int,
                         replicates: Sequence[int]) -> np.ndarray:
     """Observable values (r, n) for LSV orbits, lockstep across replicates."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    (values,) = _lsv_value_blocks(process, n, seed, replicates, n)
-    return values
+    blocks = _lsv_value_blocks(process, n, seed, replicates, LSV_BLOCK_STEPS)
+    return np.concatenate([np.empty((len(replicates), 0)), *blocks], axis=1)
 
 
 def lsv_running_stats(process: LsvProcess, n: int, seed: int,
