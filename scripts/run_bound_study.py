@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--replicates", type=int, default=20000)
     ap.add_argument("--grid-n", type=int, nargs="+", default=[256, 512, 1024])
     ap.add_argument("--points-per-n", type=int, default=4)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     chain = flip_chain(args.flip)
@@ -27,10 +26,9 @@ def main():
     train = tail_grid(args.grid_n, args.points_per_n, chain.sup_norm)
     hold = tail_grid(args.grid_n, args.points_per_n, chain.sup_norm, holdout=True)
     fit = fit_constants(chain, train, args.replicates, args.seed,
-                        summary=summ, sigma2=summ.sigma2, threads=args.threads)
+                        summary=summ, sigma2=summ.sigma2)
     ok, rows = validate_constants(chain, fit, hold, args.replicates,
-                                  args.seed + 1, summary=summ,
-                                  sigma2=summ.sigma2, threads=args.threads)
+                                  args.seed + 1, summary=summ, sigma2=summ.sigma2)
     emit_report({
         "config": {"flip": args.flip, "grid_n": args.grid_n,
                    "points_per_n": args.points_per_n,

@@ -18,14 +18,12 @@ def main():
     ap.add_argument("--seed", type=int, default=20260815)
     ap.add_argument("--flip", type=float, default=0.25)
     ap.add_argument("--replicates", type=int, default=3000)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     process = make_coboundary(flip_chain(args.flip), [1.0, -1.0])
     cfg = ExperimentConfig(process=process, n_list=[100, 1000, 10000],
                            replicates=args.replicates, seed=args.seed,
-                           alpha=0.5, series_epsilon=1.0, moment_q=2.0,
-                           threads=args.threads)
+                           alpha=0.5, series_epsilon=1.0, moment_q=2.0)
     report = run_degenerate_suite(cfg)
     emit_report({
         "config": cfg.to_dict(),

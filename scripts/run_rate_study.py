@@ -19,14 +19,12 @@ def main():
     ap.add_argument("--min-log2", type=int, default=10)
     ap.add_argument("--max-log2", type=int, default=17)
     ap.add_argument("--replicates", type=int, default=64)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     cfg = ExperimentConfig(
         process=flip_chain(args.flip),
         n_list=[2 ** k for k in range(args.min_log2, args.max_log2 + 1)],
-        replicates=args.replicates, seed=args.seed, p=4.0,
-        threads=args.threads)
+        replicates=args.replicates, seed=args.seed, p=4.0)
     report = run_rate_experiment(cfg)
     paths = emit_report({"config": cfg.to_dict(), "summary": report.to_dict(),
                          "tables": {"rates": list(report.rows)}}, args.out)

@@ -14,8 +14,7 @@ from .bounds import (ConstantsFit, FukNagaevParams, TailEstimate,
                      fuk_nagaev_rhs, series_convergence_check, tail_grid,
                      validate_constants)
 from .coupling import (BlockDist, CoupledPath, CouplingSchedule,
-                       block_sum_dist, build_coupling,
-                       conditional_quantile_gaussian, coupling_errors,
+                       block_sum_dist, build_coupling, coupling_errors,
                        make_schedule, skorohod_split, w2_conditional)
 from .experiments import (ExperimentConfig, RateEstimate, donsker_wasserstein,
                           run_degenerate_suite, run_lsv_experiment,

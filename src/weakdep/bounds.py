@@ -8,13 +8,12 @@ smallest constants on a log grid that dominate empirical tail estimates on a
 training grid, then validated on a disjoint holdout grid.
 
 All Monte Carlo here is replicate-parallel with counter-based substreams;
-results are independent of chunking and thread count.
+results are independent of chunking.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from .coefficients import (SeriesSummary, TailModel, certified_tail_rate,
-                           degenerate_moment_bound, sigma2_exact,
+                           degenerate_moment_bound, is_degenerate, sigma2_exact,
                            theta_table_from_chain)
 from .processes import (FiniteChain, LsvProcess, chain_walk, lsv_running_stats,
                         path_uniforms)
@@ -141,12 +140,11 @@ class TailSample:
         return iter((self.s, self.smax, self.smin))
 
 
-def path_statistics(process, n: int, replicates: int, seed: int,
-                    threads: int = 1) -> TailSample:
+def path_statistics(process, n: int, replicates: int, seed: int) -> TailSample:
     """Simulate a tail sample; the one place where tail samples are simulated.
 
     Chunked lockstep simulation; replicate substreams make the output
-    independent of chunking and threading.
+    independent of chunking.
     """
     ranges = _chunk_ranges(replicates, n)
     if isinstance(process, FiniteChain):
@@ -157,11 +155,7 @@ def path_statistics(process, n: int, replicates: int, seed: int,
         step = None
     else:
         raise TypeError(f"unsupported process type {type(process).__name__}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, ranges))
-    else:
-        parts = [job(reps) for reps in ranges]
+    parts = [job(reps) for reps in ranges]
     scale = 1.0 if step is None else step
     s, smax, smin = (np.concatenate(stat).astype(float) * scale for stat in zip(*parts))
     return TailSample(n=n, step=step, s=s, smax=smax, smin=smin)
@@ -212,10 +206,9 @@ def empirical_tail(sample: TailSample, x: float, statistic: str = "max") -> Tail
                         replicates=replicates, n=sample.n, x=x, statistic=statistic)
 
 
-def _samples_by_n(process, grid, replicates: int, seed: int,
-                  threads: int) -> dict[int, TailSample]:
+def _samples_by_n(process, grid, replicates: int, seed: int) -> dict[int, TailSample]:
     """One simulated sample per distinct n of an (n, x) grid."""
-    return {n: path_statistics(process, n, replicates, seed, threads=threads)
+    return {n: path_statistics(process, n, replicates, seed)
             for n in dict.fromkeys(n for n, _ in grid)}
 
 
@@ -299,8 +292,7 @@ def _envelope_constraints(grid, ests, summary, sigma2, mesh: int = 7):
 def fit_constants(process, grid, replicates: int, seed: int, *,
                   summary: SeriesSummary, sigma2: float,
                   search_box: tuple[float, float] = (1e-3, 1e6),
-                  points_per_decade: int = 8, statistic: str = "max",
-                  threads: int = 1) -> ConstantsFit:
+                  points_per_decade: int = 8, statistic: str = "max") -> ConstantsFit:
     """Smallest constants on a log lattice whose bound dominates the
     empirical tail curve over the training grid.
 
@@ -315,7 +307,7 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
     is irrelevant and pinned at the box minimum.  Raises when even the box
     corner fails, which signals a bound violation or broken inputs.
     """
-    samples = _samples_by_n(process, grid, replicates, seed, threads)
+    samples = _samples_by_n(process, grid, replicates, seed)
     ests = [empirical_tail(samples[n], x, statistic=statistic) for (n, x) in grid]
     point_targets = np.array([e.ci_high for e in ests])
     a_pts, b_pts = _grid_terms(summary, sigma2, grid)
@@ -375,10 +367,10 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
 
 def validate_constants(process, fit: ConstantsFit, holdout_grid, replicates: int,
                        seed: int, *, summary: SeriesSummary, sigma2: float,
-                       statistic: str = "max", threads: int = 1) -> tuple[bool, list]:
+                       statistic: str = "max") -> tuple[bool, list]:
     """Check bound dominance over the holdout grid's upper confidence limits."""
     a, b = _grid_terms(summary, sigma2, holdout_grid)
-    samples = _samples_by_n(process, holdout_grid, replicates, seed, threads)
+    samples = _samples_by_n(process, holdout_grid, replicates, seed)
     rows = []
     ok = True
     for i, (n, x) in enumerate(holdout_grid):
@@ -388,7 +380,7 @@ def validate_constants(process, fit: ConstantsFit, holdout_grid, replicates: int
         ok = ok and dominates
         rows.append({"n": n, "x": x, "p_hat": est.p_hat, "ci_low": est.ci_low,
                      "ci_high": est.ci_high, "rhs": float(rhs),
-                     "binding": bool(dominates)})
+                     "dominates": bool(dominates)})
     return ok, rows
 
 
@@ -437,14 +429,14 @@ def degenerate_moment_check(process: FiniteChain, q: float, samples, *,
                             theta_horizon: int = 40) -> dict:
     """Monte Carlo moments of a degenerate process against the analytic bound.
 
-    Verifies sigma2 == 0, computes E|S_n|^q per sample with a
-    normal-approximation interval, compares with the lag-weighted moment
-    bound, and tracks ||S_n^*||_r (two-sided maximum) against C n^{r/p}
+    Verifies degeneracy (``is_degenerate``), computes E|S_n|^q per sample
+    with a normal-approximation interval, compares with the lag-weighted
+    moment bound, and tracks ||S_n^*||_r (two-sided maximum) against C n^{r/p}
     anchored at the first sample's n.
     """
-    sig = sigma2_exact(process)
-    if abs(sig) > 1e-6:
+    if not is_degenerate(process):
         raise ValueError("process not degenerate")
+    sig = sigma2_exact(process)
     tail = TailModel("geometric", rate=certified_tail_rate(process))
     table = theta_table_from_chain(process, 1, 1, theta_horizon, tail)
     bound = degenerate_moment_bound(process.sup_norm, q, table)

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: ``coeffs``, ``bound fit``, ``bound check``, ``couple run``,
-``rates``, ``wasserstein``, ``degenerate``.  Each takes ``--config <file>``
-(JSON, see README for the schema), ``--seed``, ``--out`` and ``--threads``;
-outputs land in the chosen directory as CSV / JSON / .dat files.
+``rates``, ``wasserstein``, ``degenerate``, ``export-path``.  Each takes
+``--config <file>`` (JSON, see README for the schema) and ``--out``; all but
+``coeffs``, which has no randomness, also take ``--seed``.  Outputs land in
+the chosen directory as CSV / JSON / .dat files.
 """
 
 from __future__ import annotations
@@ -29,27 +30,22 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _experiment_config(doc: dict, seed, threads) -> ExperimentConfig:
+def _experiment_config(doc: dict, seed) -> ExperimentConfig:
     cfg = ExperimentConfig.from_dict(doc)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed))
-    if threads is not None:
-        cfg = dataclasses.replace(cfg, threads=int(threads))
     return cfg
 
 
-common = [
-    click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
-    click.option("--seed", type=int, default=None, help="override the config seed"),
-    click.option("--out", "out_dir", required=True, type=click.Path()),
-    click.option("--threads", type=int, default=None),
-]
+config_option = click.option("--config", "config_path", required=True,
+                             type=click.Path(exists=True))
+seed_option = click.option("--seed", type=int, default=None,
+                           help="override the config seed")
+out_option = click.option("--out", "out_dir", required=True, type=click.Path())
 
 
 def with_common(fn):
-    for opt in reversed(common):
-        fn = opt(fn)
-    return fn
+    return config_option(seed_option(out_option(fn)))
 
 
 @click.group()
@@ -58,11 +54,12 @@ def main():
 
 
 @main.command()
-@with_common
+@config_option
+@out_option
 @click.option("--p", type=int, default=4)
 @click.option("--q", type=int, default=4)
 @click.option("--horizon", type=int, default=16)
-def coeffs(config_path, seed, out_dir, threads, p, q, horizon):
+def coeffs(config_path, out_dir, p, q, horizon):
     """Exact dependence coefficients and series summary for a chain config."""
     doc = _load_config(config_path)
     process = process_from_config(doc["process"] if "process" in doc else doc)
@@ -77,8 +74,7 @@ def coeffs(config_path, seed, out_dir, threads, p, q, horizon):
     coef.theta_table_to_csv(table, os.path.join(out_dir, "theta_table.csv"))
     rows = [{"k": k, "value": float(v)} for k, v in enumerate(table.values)]
     emit_report({
-        "config": {"process": doc, "p": p, "q": q, "horizon": horizon,
-                   "seed": seed},
+        "config": {"process": doc, "p": p, "q": q, "horizon": horizon},
         "summary": {"sigma2": sigma2, "theta1": summary.theta1,
                     "theta2": summary.theta2, "tail_rate": rate,
                     "truncation_bound": coef.theta_truncation_bound(process, p, 12)},
@@ -92,7 +88,7 @@ def bound():
     """Tail-bound fitting and dominance checks."""
 
 
-def _bound_setup(doc, seed, threads):
+def _bound_setup(doc, seed):
     process = process_from_config(doc["process"])
     summary = coef.summarize_chain(process,
                                    horizon=int(doc.get("theta_horizon", 16)))
@@ -101,20 +97,19 @@ def _bound_setup(doc, seed, threads):
     points = int(doc.get("points_per_n", 4))
     replicates = int(doc.get("replicates", 20000))
     seed = int(doc.get("seed", 0) if seed is None else seed)
-    threads = int(doc.get("threads", 1) if threads is None else threads)
-    return process, summary, sigma2, n_values, points, replicates, seed, threads
+    return process, summary, sigma2, n_values, points, replicates, seed
 
 
 @bound.command("fit")
 @with_common
-def bound_fit(config_path, seed, out_dir, threads):
+def bound_fit(config_path, seed, out_dir):
     """Fit the two bound constants on the training grid."""
     doc = _load_config(config_path)
-    process, summary, sigma2, n_values, points, replicates, seed, threads = \
-        _bound_setup(doc, seed, threads)
+    process, summary, sigma2, n_values, points, replicates, seed = \
+        _bound_setup(doc, seed)
     grid = bnd.tail_grid(n_values, points, process.sup_norm, holdout=False)
     fit = bnd.fit_constants(process, grid, replicates, seed, summary=summary,
-                            sigma2=sigma2, threads=threads)
+                            sigma2=sigma2)
     emit_report({
         "config": {**doc, "seed": seed},
         "summary": {"c1": fit.c1, "c2": fit.c2, "sigma2": sigma2,
@@ -128,18 +123,17 @@ def bound_fit(config_path, seed, out_dir, threads):
 @with_common
 @click.option("--c1", type=float, required=True)
 @click.option("--c2", type=float, required=True)
-def bound_check(config_path, seed, out_dir, threads, c1, c2):
+def bound_check(config_path, seed, out_dir, c1, c2):
     """Check dominance of given constants on the holdout grid.  Without --seed
     it runs on rng.holdout_seed of the config seed, never the training paths."""
     doc = _load_config(config_path)
-    process, summary, sigma2, n_values, points, replicates, run_seed, threads = \
-        _bound_setup(doc, seed, threads)
+    process, summary, sigma2, n_values, points, replicates, run_seed = \
+        _bound_setup(doc, seed)
     seed = holdout_seed(run_seed) if seed is None else run_seed
     grid = bnd.tail_grid(n_values, points, process.sup_norm, holdout=True)
     fit = bnd.ConstantsFit(c1=c1, c2=c2)
     ok, rows = bnd.validate_constants(process, fit, grid, replicates, seed,
-                                      summary=summary, sigma2=sigma2,
-                                      threads=threads)
+                                      summary=summary, sigma2=sigma2)
     emit_report({
         "config": {**doc, "seed": seed, "c1": c1, "c2": c2},
         "summary": {"dominates_holdout": ok},
@@ -155,7 +149,7 @@ def couple():
 
 @couple.command("run")
 @with_common
-def couple_run(config_path, seed, out_dir, threads):
+def couple_run(config_path, seed, out_dir):
     """Build one coupled path and emit per-level statistics plus the path CSV."""
     doc = _load_config(config_path)
     process = process_from_config(doc["process"])
@@ -202,9 +196,9 @@ def _emit_rate(report, config, out_dir, extra_summary=None):
 
 @main.command()
 @with_common
-def rates(config_path, seed, out_dir, threads):
+def rates(config_path, seed, out_dir):
     """Coupling-error growth exponent against the 1/p target."""
-    cfg = _experiment_config(_load_config(config_path), seed, threads)
+    cfg = _experiment_config(_load_config(config_path), seed)
     if isinstance(cfg.process, LsvProcess):
         report = run_lsv_experiment(cfg)
         summary = {"gamma": report.gamma, "target": report.target,
@@ -226,9 +220,9 @@ def rates(config_path, seed, out_dir, threads):
 
 @main.command()
 @with_common
-def wasserstein(config_path, seed, out_dir, threads):
+def wasserstein(config_path, seed, out_dir):
     """Quadratic-cost decay of the rescaled partial-sum line."""
-    cfg = _experiment_config(_load_config(config_path), seed, threads)
+    cfg = _experiment_config(_load_config(config_path), seed)
     report = donsker_wasserstein(cfg)
     _emit_rate(report.estimate, cfg, out_dir,
                extra_summary={"reference_exponent": report.reference_exponent})
@@ -238,9 +232,9 @@ def wasserstein(config_path, seed, out_dir, threads):
 
 @main.command()
 @with_common
-def degenerate(config_path, seed, out_dir, threads):
+def degenerate(config_path, seed, out_dir):
     """Moment-bound and flat-growth checks for telescoping observables."""
-    cfg = _experiment_config(_load_config(config_path), seed, threads)
+    cfg = _experiment_config(_load_config(config_path), seed)
     report = run_degenerate_suite(cfg)
     emit_report({
         "config": cfg.to_dict(),
@@ -258,7 +252,7 @@ def degenerate(config_path, seed, out_dir, threads):
 @main.command("export-path")
 @with_common
 @click.option("--n", type=int, default=1024)
-def export_path(config_path, seed, out_dir, threads, n):
+def export_path(config_path, seed, out_dir, n):
     """Sample one path of a configured process and export it as CSV."""
     doc = _load_config(config_path)
     process = process_from_config(doc["process"] if "process" in doc else doc)

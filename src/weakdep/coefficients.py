@@ -210,6 +210,16 @@ def sigma2_exact(chain: FiniteChain, radius_target: float = 1e-10) -> float:
     return mid
 
 
+def is_degenerate(chain: FiniteChain) -> bool:
+    """Whether the certified sigma2 interval mid +- radius reaches 0.
+
+    The one degeneracy decision: pipelines that need sigma2 > 0 refuse such a
+    chain, and the degenerate pipeline refuses every other chain.
+    """
+    mid, radius = sigma2_certified(chain)
+    return mid - radius <= 0.0
+
+
 def partial_sum_variance(chain: FiniteChain, n: int) -> float:
     """Var(S_n), by a forward first/second-moment recursion over end states.
 

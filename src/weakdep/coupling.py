@@ -28,7 +28,7 @@ from scipy.special import ndtr, ndtri
 
 from .coefficients import BudgetExceededError
 from .processes import FiniteChain, _chain_states_from_uniforms, sample_chain_paths
-from .rng import block_stream, path_stream
+from .rng import block_stream
 
 ATOM_BUDGET = 10**7
 
@@ -161,18 +161,6 @@ class BlockDist:
             return f_minus, float(self.cdf[idx])
         return f_minus, f_minus
 
-    def cdf_pair(self, u: float) -> tuple[float, float]:
-        if self.sums_int is not None:
-            q = Fraction(float(u)) / Fraction(float(self.step))
-            if q.denominator != 1:
-                raise ValueError(f"u={u!r} is not on the lattice of step {self.step!r}")
-            return self.cdf_pair_int(int(q))
-        idx = int(np.searchsorted(self.values, u, side="left"))
-        f_minus = float(self.cdf[idx - 1]) if idx > 0 else 0.0
-        if idx < len(self.values) and self.values[idx] == u:
-            return f_minus, float(self.cdf[idx])
-        return f_minus, f_minus
-
 
 @lru_cache(maxsize=32)
 def _block_tensor(chain: FiniteChain, m: int) -> tuple[np.ndarray, int]:
@@ -271,22 +259,15 @@ def block_sum_dist_exact(chain: FiniteChain, start_state: int, m: int) -> dict:
 # Quantile transform and increment split
 # ---------------------------------------------------------------------------
 
-def conditional_quantile_gaussian(u: float, dist: BlockDist, sigma2: float,
-                                  m: int, delta: float) -> float:
-    """Gaussian image of a block sum under the conditional quantile transform.
-
-    v = sigma 2^{m/2} Phi^{-1}(F(u-) + delta (F(u) - F(u-))) with F the
-    block-sum cdf; delta randomizes within the atom at u.
+def _conditional_quantile(dist: BlockDist, u_int: int, delta: float) -> float:
+    """Standard normal image of the integer block sum u_int under the
+    conditional quantile transform: Phi^{-1}(F(u-) + delta (F(u) - F(u-)))
+    with F the block-sum cdf; delta in (0, 1) randomizes within the atom.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly inside (0, 1)")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    f_minus, f_at = dist.cdf_pair(u)
+    f_minus, f_at = dist.cdf_pair_int(u_int)
     if f_at == 0.0:
-        raise ValueError("u below distribution support")
-    arg = f_minus + delta * (f_at - f_minus)
-    return math.sqrt(sigma2 * 2.0 ** m) * gaussian_quantile(arg)
+        raise ValueError("block sum outside its conditional support")
+    return gaussian_quantile(f_minus + delta * (f_at - f_minus))
 
 
 def skorohod_split(v: float, m: int, sigma2: float,
@@ -390,11 +371,7 @@ def _couple_path(chain: FiniteChain, schedule: CouplingSchedule, sigma2: float,
             gen = block_stream(seed, n, replicate, serial)
             serial += 1
             delta = _clip_unit(float(gen.random()))
-            f_minus, f_at = dist.cdf_pair_int(u_int)
-            if f_at == 0.0:
-                raise ValueError("block sum outside its conditional support")
-            arg = f_minus + delta * (f_at - f_minus)
-            v = sigma * (2.0 ** (m / 2.0)) * gaussian_quantile(arg)
+            v = sigma * (2.0 ** (m / 2.0)) * _conditional_quantile(dist, u_int, delta)
             if m == 0:
                 target = t_run + v
                 t[b + 1] = target

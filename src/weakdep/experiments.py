@@ -5,19 +5,18 @@ counter-based substreams, statistics are reduced in replicate order, and rate
 checks are slope regressions against declared targets with declared
 tolerances.  Logarithmic factors in the predicted rates are nearly collinear
 with the power term at desk scale, so they are folded into the tolerances
-rather than fitted (a ``fit_log_correction`` switch exists for diagnosis).
+rather than fitted.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bounds import degenerate_moment_check, path_statistics, series_convergence_check
-from .coefficients import sigma2_exact
+from .coefficients import is_degenerate, sigma2_exact
 from .coupling import CouplingSchedule, coupling_errors, make_schedule, _couple_path
 from .processes import (FiniteChain, LsvProcess, lsv_running_stats,
                         process_from_config, process_to_config, sample_chain_paths)
@@ -39,9 +38,7 @@ class ExperimentConfig:
     p: float = 4.0
     epsilon: float = 0.5
     c_fit: float = 1.0
-    threads: int = 1
     tolerance: float = 0.08
-    fit_log_correction: bool = False
     debug_identity_coupling: bool = False
     surrogate: object | None = None
     alpha: float = 0.75
@@ -75,7 +72,6 @@ class ExperimentConfig:
             "epsilon": self.epsilon,
             "c_fit": self.c_fit,
             "tolerance": self.tolerance,
-            "fit_log_correction": self.fit_log_correction,
             "debug_identity_coupling": self.debug_identity_coupling,
             "alpha": self.alpha,
             "series_p": self.series_p,
@@ -88,8 +84,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        kw = {k: v for k, v in doc.items() if k in known}
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        kw = dict(doc)
         kw["process"] = process_from_config(doc["process"])
         if "surrogate" in doc and doc["surrogate"] is not None:
             kw["surrogate"] = process_from_config(doc["surrogate"])
@@ -106,29 +104,24 @@ class RateEstimate:
     target: float
     tolerance: float
     passed: bool | None
-    log_correction: float | None = None
     degenerate: bool = False
     rows: tuple = ()
 
     def to_dict(self) -> dict:
         return {"exponent": self.exponent, "exponent_se": self.exponent_se,
                 "target": self.target, "tolerance": self.tolerance,
-                "passed": self.passed, "log_correction": self.log_correction,
-                "degenerate": self.degenerate}
+                "passed": self.passed, "degenerate": self.degenerate}
 
 
-def fit_power_law(ns, values, with_log_factor: bool = False):
-    """OLS fit of log2(values) on log2(n) (optionally plus log2 log n).
+def fit_power_law(ns, values):
+    """OLS fit of log2(values) on log2(n).
 
-    Returns (slope, slope_se, intercept, log_coefficient).  Noiseless power
-    law input recovers the exponent to float precision.
+    Returns (slope, slope_se, intercept).  Noiseless power law input recovers
+    the exponent to float precision.
     """
     ns = np.asarray(ns, dtype=float)
     y = np.log2(np.asarray(values, dtype=float))
-    cols = [np.ones_like(ns), np.log2(ns)]
-    if with_log_factor:
-        cols.append(np.log2(np.log(ns)))
-    design = np.column_stack(cols)
+    design = np.column_stack([np.ones_like(ns), np.log2(ns)])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
     dof = len(ns) - design.shape[1]
@@ -138,8 +131,7 @@ def fit_power_law(ns, values, with_log_factor: bool = False):
         se = math.sqrt(max(cov[1, 1], 0.0))
     else:
         se = math.inf
-    logc = float(beta[2]) if with_log_factor else None
-    return float(beta[1]), se, float(beta[0]), logc
+    return float(beta[1]), se, float(beta[0])
 
 
 def _schedule_for(n: int, config: ExperimentConfig) -> CouplingSchedule:
@@ -156,19 +148,12 @@ def coupling_sup_errors(chain: FiniteChain, config: ExperimentConfig, n: int,
     sigma2 = sigma2_exact(chain)
     states, vals = sample_chain_paths(chain, n, cfg.seed, range(cfg.replicates))
 
-    def one(rep: int) -> float:
-        if cfg.debug_identity_coupling:
-            return 0.0
-        path = _couple_path(chain, schedule, sigma2, states[rep], vals[rep],
-                            cfg.seed, rep)
-        return coupling_errors(path).sup_error
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            errs = list(pool.map(one, range(cfg.replicates)))
-    else:
-        errs = [one(rep) for rep in range(cfg.replicates)]
-    return np.asarray(errs)
+    if cfg.debug_identity_coupling:
+        return np.zeros(cfg.replicates)
+    return np.asarray([
+        coupling_errors(_couple_path(chain, schedule, sigma2, states[rep],
+                                     vals[rep], cfg.seed, rep)).sup_error
+        for rep in range(cfg.replicates)])
 
 
 def _l2_with_variance(errs: np.ndarray) -> tuple[float, float]:
@@ -183,7 +168,7 @@ def _l2_with_variance(errs: np.ndarray) -> tuple[float, float]:
     return math.sqrt(mean_sq), var_mean * d * d
 
 
-def _rate_estimate(ns, rms, target, tolerance, with_log, extra_rows=None,
+def _rate_estimate(ns, rms, target, tolerance, extra_rows=None,
                    y_vars=None) -> RateEstimate:
     rows = []
     for i, n in enumerate(ns):
@@ -196,21 +181,18 @@ def _rate_estimate(ns, rms, target, tolerance, with_log, extra_rows=None,
         return RateEstimate(exponent=0.0, exponent_se=math.inf, target=target,
                             tolerance=tolerance, passed=None, degenerate=True,
                             rows=tuple(rows))
-    slope, se, _, logc = fit_power_law(ns, rms, with_log_factor=with_log)
+    slope, se, _ = fit_power_law(ns, rms)
     if y_vars is not None:
         # Monte Carlo error of the slope: propagate per-point log variances
         # through the least-squares weights (replicate noise only; the
         # systematic log-factor curvature is folded into the tolerance).
-        cols = [np.ones(len(ns)), np.log2(np.asarray(ns, dtype=float))]
-        if with_log:
-            cols.append(np.log2(np.log(np.asarray(ns, dtype=float))))
-        design = np.column_stack(cols)
+        design = np.column_stack([np.ones(len(ns)),
+                                  np.log2(np.asarray(ns, dtype=float))])
         weights = np.linalg.inv(design.T @ design) @ design.T
         se = math.sqrt(float(weights[1] ** 2 @ np.asarray(y_vars)))
     passed = abs(slope - target) <= tolerance
     return RateEstimate(exponent=slope, exponent_se=se, target=target,
-                        tolerance=tolerance, passed=passed, log_correction=logc,
-                        rows=tuple(rows))
+                        tolerance=tolerance, passed=passed, rows=tuple(rows))
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateEstimate:
@@ -226,7 +208,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateEstimate:
         raise ValueError("rate experiments require an exact lattice chain")
     config.require_dyadic()
     config.require_rate_replicates()
-    if sigma2_exact(chain) <= 1e-9:
+    if is_degenerate(chain):
         raise ValueError("degenerate process: use the degenerate pipeline")
     rms, y_vars = [], []
     for n in config.n_list:
@@ -235,8 +217,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateEstimate:
         rms.append(level)
         y_vars.append(var_y)
     return _rate_estimate(config.n_list, rms, target=1.0 / config.p,
-                          tolerance=config.tolerance,
-                          with_log=config.fit_log_correction, y_vars=y_vars)
+                          tolerance=config.tolerance, y_vars=y_vars)
 
 
 @dataclass(frozen=True)
@@ -277,7 +258,7 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
         level = math.sqrt(float(np.mean(np.maximum(smax, -smin) ** 2)))
         sup_l2.append(level)
         rows.append({"n": int(n), "sup_l2": level})
-    direct_slope, direct_se, _, _ = fit_power_law(config.n_list, sup_l2)
+    direct_slope, direct_se, _ = fit_power_law(config.n_list, sup_l2)
 
     surrogate_estimate = None
     if config.surrogate is not None:
@@ -290,7 +271,7 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
             y_vars.append(var_y)
         surrogate_estimate = _rate_estimate(
             config.n_list, rms, target=target, tolerance=config.tolerance,
-            with_log=config.fit_log_correction, y_vars=y_vars)
+            y_vars=y_vars)
     return LsvReport(gamma=gamma, target=target, direct_exponent=direct_slope,
                      direct_se=direct_se, direct_rows=tuple(rows),
                      surrogate=surrogate_estimate)
@@ -324,7 +305,7 @@ def donsker_wasserstein(config: ExperimentConfig) -> WassersteinReport:
         raise ValueError("donsker experiments require an exact lattice chain")
     config.require_dyadic()
     config.require_rate_replicates()
-    if sigma2_exact(chain) <= 1e-9:
+    if is_degenerate(chain):
         raise ValueError("degenerate process: use the degenerate pipeline")
     rms, y_vars = [], []
     for n in config.n_list:
@@ -337,7 +318,6 @@ def donsker_wasserstein(config: ExperimentConfig) -> WassersteinReport:
     extra = [{"reference_n16": anchor_c * n ** (-1.0 / 6.0)} for n in config.n_list]
     tol = max(config.tolerance, 0.10)
     estimate = _rate_estimate(config.n_list, rms, target=-0.25, tolerance=tol,
-                              with_log=config.fit_log_correction,
                               extra_rows=extra, y_vars=y_vars)
     return WassersteinReport(estimate=estimate)
 
@@ -363,17 +343,16 @@ def run_degenerate_suite(config: ExperimentConfig) -> DegenerateReport:
     chain = config.process
     if not isinstance(chain, FiniteChain):
         raise ValueError("the degenerate suite requires an exact lattice chain")
-    if abs(sigma2_exact(chain)) > 1e-6:
+    if not is_degenerate(chain):
         raise ValueError("process not degenerate")
-    samples = [path_statistics(chain, n, config.replicates, config.seed,
-                               threads=config.threads) for n in config.n_list]
+    samples = [path_statistics(chain, n, config.replicates, config.seed)
+               for n in config.n_list]
     moment = degenerate_moment_check(chain, config.moment_q, samples)
     series = series_convergence_check(samples, config.alpha, config.series_p,
                                       config.series_epsilon, statistic="absmax")
     ns = [row["n"] for row in moment["rows"]]
     sups = [row["sup_norm_r"] for row in moment["rows"]]
-    sup_growth = _rate_estimate(ns, sups, target=0.0, tolerance=0.05,
-                                with_log=False)
+    sup_growth = _rate_estimate(ns, sups, target=0.0, tolerance=0.05)
 
     # Telescoping constructions carry their pathwise bound on max_k |S_k|;
     # series summands must be exactly zero once eps n^alpha exceeds it.

@@ -4,7 +4,7 @@ A result bundle is ``{"config": ..., "summary": ..., "tables": {name: rows}}``.
 Each table lands as a CSV and a gnuplot-ready ``.dat`` file; the summary JSON
 always embeds the full config for auditability.  Floats are written with
 ``repr`` (shortest round-trip), keys are sorted, so reruns with the same seed
-produce byte-identical files regardless of thread count.
+produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -111,12 +111,6 @@ def test_tail_monotone_in_x(flip25):
     assert all(b <= a for a, b in zip(ps, ps[1:]))
 
 
-def test_tail_thread_count_invariance(flip25):
-    a = empirical_tail(path_statistics(flip25, 128, 3000, seed=9, threads=1), 12.0)
-    b = empirical_tail(path_statistics(flip25, 128, 3000, seed=9, threads=3), 12.0)
-    assert a == b
-
-
 def test_tail_statistic_absmax_dominates_max(flip25):
     sample = path_statistics(flip25, 64, 2000, seed=5)
     one = empirical_tail(sample, 10.0, statistic="max")
@@ -204,9 +198,9 @@ def test_one_simulation_per_distinct_n(monkeypatch, flip_summary):
     calls = []
     simulate = bounds.path_statistics
 
-    def counting(process, n, replicates, seed, threads=1):
+    def counting(process, n, replicates, seed):
         calls.append(n)
-        return simulate(process, n, replicates, seed, threads=threads)
+        return simulate(process, n, replicates, seed)
 
     monkeypatch.setattr(bounds, "path_statistics", counting)
     monkeypatch.setattr(experiments, "path_statistics", counting)
@@ -324,11 +318,20 @@ def test_degenerate_null_observable_moments_zero(flip25):
         assert row["moment_q"] == 0.0
 
 
-def test_path_statistics_thread_invariance(flip25):
-    a = path_statistics(flip25, 200, 1000, seed=11, threads=1)
-    b = path_statistics(flip25, 200, 1000, seed=11, threads=4)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+def test_path_statistics_chunking_invariance(monkeypatch, flip25):
+    from weakdep.processes import LsvObservable, LsvProcess
+    lsv = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),
+                     burn_in=50)
+    for process, n, seed in ((flip25, 200, 11), (lsv, 40, 12)):
+        whole = path_statistics(process, n, 1000, seed)
+        # 37 replicates per chunk: 28 chunks, the last one partial
+        monkeypatch.setattr(bounds, "_CHUNK_ELEMENT_BUDGET", 37 * (n + 1))
+        assert len(bounds._chunk_ranges(1000, n)) == 28
+        chunked = path_statistics(process, n, 1000, seed)
+        monkeypatch.undo()
+        for x, y in zip(whole, chunked):
+            assert np.array_equal(x, y)
+        assert empirical_tail(whole, 6.0) == empirical_tail(chunked, 6.0)
 
 
 def test_tail_grid_regimes(flip25):

@@ -23,10 +23,11 @@ def write_config(tmp_path, doc, name="config.json"):
 def test_coeffs_command(tmp_path, chain_doc):
     cfg = write_config(tmp_path, {"process": chain_doc})
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["coeffs", "--config", cfg, "--seed", "1",
+    result = CliRunner().invoke(main, ["coeffs", "--config", cfg,
                                        "--out", str(out), "--horizon", "8"])
     assert result.exit_code == 0, result.output
     summary = json.loads((out / "summary.json").read_text())
+    assert "seed" not in summary["config"]
     assert summary["summary"]["sigma2"] == pytest.approx(3.0, abs=1e-8)
     assert (out / "theta_table.csv").exists()
     assert (out / "theta.csv").exists()
@@ -48,6 +49,9 @@ def test_bound_fit_and_check(tmp_path, chain_doc):
     assert result.exit_code == 0, result.output
     checked = json.loads((out_check / "summary.json").read_text())["summary"]
     assert checked["dominates_holdout"] is True
+    header, *rows = (out_check / "holdout_grid.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "dominates"
+    assert all(row.endswith(",1") for row in rows)
 
 
 def test_bound_check_default_seed_differs_from_fit(tmp_path, chain_doc):
@@ -86,10 +90,9 @@ def test_rates_command_deterministic(tmp_path, chain_doc):
         "process": chain_doc, "n_list": [256, 512, 1024],
         "replicates": 16, "seed": 9})
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    for out, threads in ((out1, "1"), (out2, "3")):
+    for out in (out1, out2):
         result = CliRunner().invoke(main, ["rates", "--config", cfg,
-                                           "--out", str(out),
-                                           "--threads", threads])
+                                           "--out", str(out)])
         assert result.exit_code == 0, result.output
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     assert (out1 / "rates.csv").read_bytes() == (out2 / "rates.csv").read_bytes()

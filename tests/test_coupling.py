@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from weakdep import (BlockDist, block_sum_dist, build_coupling,
-                     conditional_quantile_gaussian, coupling_errors,
+from weakdep import (BlockDist, block_sum_dist, build_coupling, coupling_errors,
                      flip_chain, make_coboundary, make_schedule,
                      sigma2_exact, skorohod_split, w2_conditional)
-from weakdep.coupling import (BudgetExceededError, block_coupling_second_moment,
+from weakdep.coupling import (BudgetExceededError, _conditional_quantile,
+                              block_coupling_second_moment,
                               block_sum_dist_exact, gaussian_quantile)
 from weakdep.rng import substream
 
@@ -139,20 +139,27 @@ def test_block_dist_budget_guard(flip25):
 # quantile transform
 # ---------------------------------------------------------------------------
 
+def two_point_dist():
+    return BlockDist.from_atoms([-1.0, 1.0], [0.5, 0.5], step=1.0,
+                                sums_int=np.array([-1, 1]))
+
+
 def test_quantile_two_point_worked_value():
-    dist = BlockDist.from_atoms([-1.0, 1.0], [0.5, 0.5])
-    v = conditional_quantile_gaussian(-1.0, dist, 1.0, 0, 0.5)
+    v = _conditional_quantile(two_point_dist(), -1, 0.5)
     assert v == pytest.approx(-0.6744897501960817, abs=1e-12)
+    v = _conditional_quantile(two_point_dist(), -1, 0.2)
+    assert v == pytest.approx(-1.2815515655446004, abs=1e-12)
 
 
 def test_quantile_identity_on_matching_discretization():
     for m_atoms in (21, 81):
         qs = (np.arange(m_atoms) + 0.5) / m_atoms
         atoms = np.sort(gaussian_quantile_vec(qs))
-        dist = BlockDist.from_atoms(atoms, np.full(m_atoms, 1.0 / m_atoms))
-        for u in atoms[::5]:
-            v = conditional_quantile_gaussian(float(u), dist, 1.0, 0, 0.5)
-            assert v == pytest.approx(float(u), abs=1e-10)
+        dist = BlockDist.from_atoms(atoms, np.full(m_atoms, 1.0 / m_atoms),
+                                    sums_int=np.arange(m_atoms))
+        for i in range(0, m_atoms, 5):
+            v = _conditional_quantile(dist, i, 0.5)
+            assert v == pytest.approx(float(atoms[i]), abs=1e-10)
 
 
 def gaussian_quantile_vec(qs):
@@ -160,20 +167,14 @@ def gaussian_quantile_vec(qs):
 
 
 def test_quantile_clamp_path_finite():
-    dist = BlockDist.from_atoms([-1.0, 1.0], [0.5, 0.5])
-    v = conditional_quantile_gaussian(1.0, dist, 1.0, 0, 1.0 - 1e-12)
+    v = _conditional_quantile(two_point_dist(), 1, 1.0 - 1e-12)
     assert math.isfinite(v)
     assert v <= 8.3
 
 
 def test_quantile_validation():
-    dist = BlockDist.from_atoms([-1.0, 1.0], [0.5, 0.5])
-    with pytest.raises(ValueError, match="delta"):
-        conditional_quantile_gaussian(1.0, dist, 1.0, 0, 0.0)
-    with pytest.raises(ValueError, match="delta"):
-        conditional_quantile_gaussian(1.0, dist, 1.0, 0, 1.0)
     with pytest.raises(ValueError, match="support"):
-        conditional_quantile_gaussian(-5.0, dist, 1.0, 0, 0.5)
+        _conditional_quantile(two_point_dist(), -5, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from weakdep import (ExperimentConfig, donsker_wasserstein, emit_report,
                      run_rate_experiment, sigma2_exact)
 from weakdep.coupling import build_coupling, coupling_errors
 from weakdep.experiments import donsker_sup_distance, fit_power_law
-from weakdep import processes
+from weakdep import coefficients, experiments, processes
+from weakdep.coefficients import is_degenerate
 from weakdep.bounds import path_statistics
 from weakdep.processes import LsvObservable, LsvProcess, sample_lsv_ensemble
 
@@ -26,11 +28,8 @@ def test_fit_power_law_recovers_exponent_noiselessly():
     ns = [2 ** k for k in range(6, 14)]
     for a in (-0.5, 0.25, 1.0):
         ys = [3.7 * n ** a for n in ns]
-        slope, se, _, _ = fit_power_law(ns, ys)
+        slope, se, _ = fit_power_law(ns, ys)
         assert slope == pytest.approx(a, abs=1e-10)
-        slope_l, _, _, logc = fit_power_law(ns, ys, with_log_factor=True)
-        assert slope_l == pytest.approx(a, abs=1e-6)
-        assert abs(logc) < 1e-6
 
 
 def test_config_validation(flip25):
@@ -53,6 +52,22 @@ def test_config_round_trip(flip25):
     assert back.replicates == cfg.replicates
     assert np.allclose(back.process.transition, flip25.transition)
     assert np.allclose(back.surrogate.transition, flip25.transition)
+
+
+def test_config_rejects_unknown_keys(flip25):
+    doc = small_config(flip25).to_dict()
+    doc["replicate"] = 32
+    doc["threads"] = 2
+    with pytest.raises(ValueError, match="unknown config keys: replicate, threads"):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["rates_flip", "rates_lsv", "wasserstein_flip",
+                                  "degenerate_flip"])
+def test_shipped_experiment_configs_load(name):
+    path = Path(__file__).parent.parent / "scripts" / "configs" / f"{name}.json"
+    doc = json.loads(path.read_text())
+    assert ExperimentConfig.from_dict(doc).to_dict()["seed"] == doc["seed"]
 
 
 def test_rate_experiment_consistency(flip25):
@@ -201,6 +216,24 @@ def test_degenerate_suite_rejects_nondegenerate(flip25):
         run_degenerate_suite(cfg)
 
 
+def test_degeneracy_decided_by_certified_interval(monkeypatch, flip25):
+    cob = make_coboundary(flip25, [1.0, -1.0])
+    assert is_degenerate(cob) and not is_degenerate(flip25)
+
+    def no_simulation(*args, **kw):
+        raise AssertionError("simulated before the degeneracy check")
+
+    # sigma2 = 1e-7 +- 1e-10 is certified positive: not a degenerate chain
+    monkeypatch.setattr(coefficients, "sigma2_certified",
+                        lambda chain, *args, **kw: (1e-7, 1e-10))
+    monkeypatch.setattr(experiments, "path_statistics", no_simulation)
+    assert not is_degenerate(cob)
+    cfg = ExperimentConfig(process=cob, n_list=[100, 1000], replicates=500,
+                           seed=5, alpha=0.5)
+    with pytest.raises(ValueError, match="not degenerate"):
+        run_degenerate_suite(cfg)
+
+
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
@@ -238,11 +271,10 @@ def test_emit_report_validates_before_writing(tmp_path):
     assert not target.exists()
 
 
-def test_threads_do_not_change_results(flip25):
-    cfg1 = small_config(flip25, n_list=[256, 512], replicates=16, threads=1)
-    cfg4 = small_config(flip25, n_list=[256, 512], replicates=16, threads=4)
-    r1 = run_rate_experiment(cfg1)
-    r4 = run_rate_experiment(cfg4)
-    assert r1.exponent == r4.exponent
+def test_rerun_gives_identical_results(flip25):
+    cfg = small_config(flip25, n_list=[256, 512], replicates=16)
+    r1 = run_rate_experiment(cfg)
+    r2 = run_rate_experiment(cfg)
+    assert r1.exponent == r2.exponent
     assert [row["error_l2"] for row in r1.rows] == \
-           [row["error_l2"] for row in r4.rows]
+           [row["error_l2"] for row in r2.rows]
