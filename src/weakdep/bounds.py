@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
-from .coefficients import (SeriesSummary, TailModel, certified_tail_rate,
-                           degenerate_moment_bound, is_degenerate, sigma2_exact,
-                           theta_table_from_chain)
+from .coefficients import (SeriesSummary, certified_theta_table,
+                           degenerate_moment_bound, is_degenerate, sigma2_exact)
 from .processes import (FiniteChain, LsvProcess, chain_walk, lsv_running_stats,
                         path_uniforms)
 
@@ -93,11 +92,11 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[f
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(beta_dist.ppf(a, successes, trials - successes + 1))
+        lo = float(betaincinv(successes, trials - successes + 1, a))
     if successes == trials:
         hi = 1.0
     else:
-        hi = float(beta_dist.ppf(1.0 - a, successes + 1, trials - successes))
+        hi = float(betaincinv(successes + 1, trials - successes, 1.0 - a))
     return lo, hi
 
 
@@ -437,8 +436,7 @@ def degenerate_moment_check(process: FiniteChain, q: float, samples, *,
     if not is_degenerate(process):
         raise ValueError("process not degenerate")
     sig = sigma2_exact(process)
-    tail = TailModel("geometric", rate=certified_tail_rate(process))
-    table = theta_table_from_chain(process, 1, 1, theta_horizon, tail)
+    table = certified_theta_table(process, 1, 1, theta_horizon)
     bound = degenerate_moment_bound(process.sup_norm, q, table)
 
     rows = []

@@ -18,8 +18,8 @@ import click
 from . import bounds as bnd
 from . import coefficients as coef
 from . import coupling as cpl
-from .experiments import ExperimentConfig, donsker_wasserstein, run_degenerate_suite, \
-    run_lsv_experiment, run_rate_experiment
+from .experiments import ExperimentConfig, check_config_keys, donsker_wasserstein, \
+    run_degenerate_suite, run_lsv_experiment, run_rate_experiment
 from .processes import FiniteChain, LsvProcess, process_from_config, sample_path
 from .reporting import emit_report, write_table_csv
 from .rng import holdout_seed
@@ -65,9 +65,7 @@ def coeffs(config_path, out_dir, p, q, horizon):
     process = process_from_config(doc["process"] if "process" in doc else doc)
     if not isinstance(process, FiniteChain):
         raise click.ClickException("coeffs requires a finite_chain process")
-    rate = coef.certified_tail_rate(process)
-    table = coef.theta_table_from_chain(process, p, q, horizon,
-                                        coef.TailModel("geometric", rate=rate))
+    table = coef.certified_theta_table(process, p, q, horizon)
     sigma2 = coef.sigma2_exact(process)
     summary = coef.series_summary(table, sigma2=sigma2)
     os.makedirs(out_dir, exist_ok=True)
@@ -76,7 +74,7 @@ def coeffs(config_path, out_dir, p, q, horizon):
     emit_report({
         "config": {"process": doc, "p": p, "q": q, "horizon": horizon},
         "summary": {"sigma2": sigma2, "theta1": summary.theta1,
-                    "theta2": summary.theta2, "tail_rate": rate,
+                    "theta2": summary.theta2, "tail_rate": table.tail.rate,
                     "truncation_bound": coef.theta_truncation_bound(process, p, 12)},
         "tables": {"theta": rows},
     }, out_dir)
@@ -88,7 +86,13 @@ def bound():
     """Tail-bound fitting and dominance checks."""
 
 
+BOUND_KEYS = ("process", "grid_n", "points_per_n", "replicates", "seed",
+              "theta_horizon")
+COUPLE_KEYS = ("process", "n", "seed", "p", "variant", "epsilon", "c_fit")
+
+
 def _bound_setup(doc, seed):
+    check_config_keys(doc, BOUND_KEYS)
     process = process_from_config(doc["process"])
     summary = coef.summarize_chain(process,
                                    horizon=int(doc.get("theta_horizon", 16)))
@@ -152,6 +156,7 @@ def couple():
 def couple_run(config_path, seed, out_dir):
     """Build one coupled path and emit per-level statistics plus the path CSV."""
     doc = _load_config(config_path)
+    check_config_keys(doc, COUPLE_KEYS)
     process = process_from_config(doc["process"])
     n = int(doc.get("n", 4096))
     seed = int(doc.get("seed", 0) if seed is None else seed)

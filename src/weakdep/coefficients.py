@@ -420,20 +420,20 @@ def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSumm
                          weighted=weighted, sigma2=sigma2, kind=table.kind)
 
 
-def certified_tail_rate(chain: FiniteChain) -> float:
-    """Geometric tail rate delta^(1/r) of the certified contraction (r, delta),
-    capped just below 1."""
+def certified_theta_table(chain: FiniteChain, p: int, q: int, horizon: int,
+                          tuple_horizon: int = 12) -> ThetaTable:
+    """Exact theta(0..horizon) with a geometric tail at the rate delta^(1/r)
+    of the certified contraction (r, delta), capped just below 1."""
     r, delta = certified_contraction(chain)
-    return min(0.999999, delta ** (1.0 / r))
+    tail = TailModel("geometric", rate=min(0.999999, delta ** (1.0 / r)))
+    return theta_table_from_chain(chain, p, q, horizon, tail, tuple_horizon=tuple_horizon)
 
 
 def summarize_chain(chain: FiniteChain, p: int = 4, q: int = 4, horizon: int = 16,
                     tuple_horizon: int = 12) -> SeriesSummary:
     """Series summary of a chain: exact table, certified geometric tail, and
     the certified covariance series."""
-    table = theta_table_from_chain(chain, p, q, horizon,
-                                   TailModel("geometric", rate=certified_tail_rate(chain)),
-                                   tuple_horizon=tuple_horizon)
+    table = certified_theta_table(chain, p, q, horizon, tuple_horizon=tuple_horizon)
     return series_summary(table, sigma2=sigma2_exact(chain))
 
 

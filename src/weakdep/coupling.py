@@ -11,6 +11,11 @@ i.i.d. centered Gaussians built on the same probability space:
 3. V is split into 2^{m(L)} i.i.d. N(0, sigma2) increments summing to V
    (conditional-Gaussian mean shift plus centered residuals).
 
+Step 2 runs one dyadic level at a time: the level's block sums come from one
+reshape, and one array call of the quantile transform serves all blocks that
+start in the same state.  Step 3 stays a loop over the blocks, each on its
+own substream (layout in :mod:`weakdep.rng`).
+
 Per-level error statistics D_L <= D_{L,1} + D_{L,2} quantify how far T tracks
 S.  Everything here requires an exact lattice chain and sigma2 > 0; the
 degenerate regime lives in :mod:`weakdep.bounds`.
@@ -36,13 +41,13 @@ _P_LO = float(ndtr(-8.2))
 _P_HI = min(1.0 - _P_LO, float(np.nextafter(1.0, 0.0)))
 
 
-def gaussian_quantile(p: float) -> float:
+def gaussian_quantile(p):
     """Standard normal quantile, argument clamped to [Phi(-8.2), Phi(8.2)].
 
     Beyond 8.2 standard deviations the contribution is below the double
     precision resolution of every error statistic computed here.
     """
-    return float(ndtri(min(max(p, _P_LO), _P_HI)))
+    return ndtri(np.clip(p, _P_LO, _P_HI))
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +158,6 @@ class BlockDist:
     def mean(self) -> float:
         return float(self.values @ self.probs)
 
-    def cdf_pair_int(self, u_int: int) -> tuple[float, float]:
-        """(F(u-), F(u)) by exact integer lookup."""
-        idx = int(np.searchsorted(self.sums_int, u_int, side="left"))
-        f_minus = float(self.cdf[idx - 1]) if idx > 0 else 0.0
-        if idx < len(self.sums_int) and int(self.sums_int[idx]) == u_int:
-            return f_minus, float(self.cdf[idx])
-        return f_minus, f_minus
-
 
 @lru_cache(maxsize=32)
 def _block_tensor(chain: FiniteChain, m: int) -> tuple[np.ndarray, int]:
@@ -259,13 +256,17 @@ def block_sum_dist_exact(chain: FiniteChain, start_state: int, m: int) -> dict:
 # Quantile transform and increment split
 # ---------------------------------------------------------------------------
 
-def _conditional_quantile(dist: BlockDist, u_int: int, delta: float) -> float:
-    """Standard normal image of the integer block sum u_int under the
+def _conditional_quantile(dist: BlockDist, u_int, delta) -> np.ndarray:
+    """Standard normal images of the integer block sums u_int under the
     conditional quantile transform: Phi^{-1}(F(u-) + delta (F(u) - F(u-)))
-    with F the block-sum cdf; delta in (0, 1) randomizes within the atom.
+    with F the block-sum cdf (F(u) = F(u-) between atoms); delta in (0, 1)
+    randomizes within the atom.
     """
-    f_minus, f_at = dist.cdf_pair_int(u_int)
-    if f_at == 0.0:
+    idx = np.searchsorted(dist.sums_int, u_int, side="left")
+    f_minus = np.where(idx > 0, dist.cdf[idx - 1], 0.0)
+    at = np.minimum(idx, len(dist.sums_int) - 1)
+    f_at = np.where(dist.sums_int[at] == u_int, dist.cdf[at], f_minus)
+    if np.any(f_at == 0.0):
         raise ValueError("block sum outside its conditional support")
     return gaussian_quantile(f_minus + delta * (f_at - f_minus))
 
@@ -314,8 +315,8 @@ class CoupledPath:
         return len(self.x)
 
 
-def _clip_unit(u: float) -> float:
-    return min(max(u, 2.0 ** -60), float(np.nextafter(1.0, 0.0)))
+def _clip_unit(u):
+    return np.clip(u, 2.0 ** -60, np.nextafter(1.0, 0.0))
 
 
 def build_coupling(process: FiniteChain, schedule: CouplingSchedule, sigma2: float,
@@ -350,7 +351,7 @@ def _couple_path(chain: FiniteChain, schedule: CouplingSchedule, sigma2: float,
     t = np.zeros(n + 1)
     sigma = math.sqrt(sigma2)
     gen0 = block_stream(seed, n, replicate, 0)
-    z1 = sigma * gaussian_quantile(_clip_unit(float(gen0.random())))
+    z1 = sigma * gaussian_quantile(_clip_unit(gen0.random()))
     t[1] = z1
 
     dists: dict[tuple[int, int], BlockDist] = {}
@@ -360,32 +361,33 @@ def _couple_path(chain: FiniteChain, schedule: CouplingSchedule, sigma2: float,
     for level in schedule.levels:
         m = int(schedule.m[level])
         count = 2 ** m
-        us, vs = [], []
-        for k in range(2 ** (level - m)):
-            b = 2 ** int(level) + k * count
-            u_int = int(np.sum(vals_int[b:b + count]))
-            key = (int(states[b]), m)
+        base = 2 ** int(level)
+        u_int = vals_int[base:2 * base].reshape(-1, count).sum(axis=1)
+        starts = states[base:2 * base:count]
+        gens = [block_stream(seed, n, replicate, serial + k) for k in range(len(u_int))]
+        serial += len(u_int)
+        deltas = _clip_unit(np.array([gen.random() for gen in gens]))
+        v = np.empty(len(u_int))
+        scale = sigma * (2.0 ** (m / 2.0))
+        for state in np.unique(starts):
+            key = (int(state), m)
             dist = dists.get(key)
             if dist is None:
                 dist = dists[key] = block_sum_dist(chain, key[0], m)
-            gen = block_stream(seed, n, replicate, serial)
-            serial += 1
-            delta = _clip_unit(float(gen.random()))
-            v = sigma * (2.0 ** (m / 2.0)) * _conditional_quantile(dist, u_int, delta)
+            sel = starts == state
+            v[sel] = scale * _conditional_quantile(dist, u_int[sel], deltas[sel])
+        for k, gen in enumerate(gens):
+            b = base + k * count
+            target = t_run + v[k]
             if m == 0:
-                target = t_run + v
                 t[b + 1] = target
             else:
-                inc = skorohod_split(v, m, sigma2, gen)
-                prefix = t_run + np.cumsum(inc)
-                target = t_run + v
+                prefix = t_run + np.cumsum(skorohod_split(v[k], m, sigma2, gen))
                 prefix[-1] = target    # boundary identity holds bitwise
                 t[b + 1:b + count + 1] = prefix
             t_run = target
-            us.append(u_int * step)
-            vs.append(v)
-        u_by_level.append(np.asarray(us))
-        v_by_level.append(np.asarray(vs))
+        u_by_level.append(u_int * step)
+        v_by_level.append(v)
         m_by_level.append(m)
 
     z = np.diff(t)
@@ -492,7 +494,7 @@ def block_coupling_second_moment(chain: FiniteChain, m: int, sigma2: float,
     u = np.stack([g.random(count + 2) for g in gens])
     states = _chain_states_from_uniforms(chain, u[:, :count + 1])
     u_int = chain.obs_int[states[:, 1:]].sum(axis=1)
-    deltas = np.clip(u[:, -1], 2.0 ** -60, float(np.nextafter(1.0, 0.0)))
+    deltas = _clip_unit(u[:, -1])
 
     scale = math.sqrt(sigma2) * 2.0 ** (m / 2.0)
     v = np.empty(blocks)
@@ -500,14 +502,8 @@ def block_coupling_second_moment(chain: FiniteChain, m: int, sigma2: float,
     for state in range(chain.n_states):
         dist = block_sum_dist(chain, state, m)
         exact += chain.stationary[state] * w2_conditional(dist, sigma2 * count)
-        sel = np.nonzero(states[:, 0] == state)[0]
-        if len(sel) == 0:
-            continue
-        idx = np.searchsorted(dist.sums_int, u_int[sel], side="left")
-        f_minus = np.where(idx > 0, dist.cdf[np.maximum(idx - 1, 0)], 0.0)
-        f_at = dist.cdf[idx]
-        arg = np.clip(f_minus + deltas[sel] * (f_at - f_minus), _P_LO, _P_HI)
-        v[sel] = scale * ndtri(arg)
+        sel = states[:, 0] == state
+        v[sel] = scale * _conditional_quantile(dist, u_int[sel], deltas[sel])
 
     diff2 = (u_int.astype(float) * chain.step - v) ** 2
     e2 = float(diff2.mean())

@@ -22,6 +22,13 @@ from .processes import (FiniteChain, LsvProcess, lsv_running_stats,
                         process_from_config, process_to_config, sample_chain_paths)
 
 
+def check_config_keys(doc: dict, allowed) -> None:
+    """Refuse a config document with keys outside `allowed`, naming them all."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -39,7 +46,6 @@ class ExperimentConfig:
     epsilon: float = 0.5
     c_fit: float = 1.0
     tolerance: float = 0.08
-    debug_identity_coupling: bool = False
     surrogate: object | None = None
     alpha: float = 0.75
     series_p: float = 4.0
@@ -72,7 +78,6 @@ class ExperimentConfig:
             "epsilon": self.epsilon,
             "c_fit": self.c_fit,
             "tolerance": self.tolerance,
-            "debug_identity_coupling": self.debug_identity_coupling,
             "alpha": self.alpha,
             "series_p": self.series_p,
             "series_epsilon": self.series_epsilon,
@@ -84,9 +89,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        check_config_keys(doc, cls.__dataclass_fields__)
         kw = dict(doc)
         kw["process"] = process_from_config(doc["process"])
         if "surrogate" in doc and doc["surrogate"] is not None:
@@ -140,20 +143,15 @@ def _schedule_for(n: int, config: ExperimentConfig) -> CouplingSchedule:
                          epsilon=config.epsilon, c_fit=config.c_fit)
 
 
-def coupling_sup_errors(chain: FiniteChain, config: ExperimentConfig, n: int,
-                        p_override: float | None = None) -> np.ndarray:
+def coupling_sup_errors(chain: FiniteChain, config: ExperimentConfig, n: int) -> np.ndarray:
     """sup_k |S_k - T_k| per replicate for one n."""
-    cfg = config if p_override is None else replace(config, p=p_override)
-    schedule = _schedule_for(n, cfg)
+    schedule = _schedule_for(n, config)
     sigma2 = sigma2_exact(chain)
-    states, vals = sample_chain_paths(chain, n, cfg.seed, range(cfg.replicates))
-
-    if cfg.debug_identity_coupling:
-        return np.zeros(cfg.replicates)
+    states, vals = sample_chain_paths(chain, n, config.seed, range(config.replicates))
     return np.asarray([
         coupling_errors(_couple_path(chain, schedule, sigma2, states[rep],
-                                     vals[rep], cfg.seed, rep)).sup_error
-        for rep in range(cfg.replicates)])
+                                     vals[rep], config.seed, rep)).sup_error
+        for rep in range(config.replicates)])
 
 
 def _l2_with_variance(errs: np.ndarray) -> tuple[float, float]:
@@ -166,6 +164,22 @@ def _l2_with_variance(errs: np.ndarray) -> tuple[float, float]:
     var_mean = float(np.var(sq, ddof=1)) / len(sq)
     d = 1.0 / (2.0 * math.log(2.0) * mean_sq)
     return math.sqrt(mean_sq), var_mean * d * d
+
+
+def _coupling_ladder(chain: FiniteChain, config: ExperimentConfig,
+                     rescale: bool = False) -> tuple[list, list]:
+    """L2 level of sup_k |S_k - T_k| at each n of the config, and the Monte
+    Carlo variance of its base-2 log.  With ``rescale`` each error is first
+    divided by sqrt(n), the Donsker scaling of :func:`donsker_sup_distance`."""
+    levels, y_vars = [], []
+    for n in config.n_list:
+        errs = coupling_sup_errors(chain, config, n)
+        if rescale:
+            errs = errs / math.sqrt(n)
+        level, var_y = _l2_with_variance(errs)
+        levels.append(level)
+        y_vars.append(var_y)
+    return levels, y_vars
 
 
 def _rate_estimate(ns, rms, target, tolerance, extra_rows=None,
@@ -200,8 +214,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateEstimate:
 
     For each n the L2 norm of sup_k |S_k - T_k| is the root mean square over
     replicates; the fitted log-log slope is compared with 1/p at the
-    configured tolerance.  An identity coupling (debug mode) yields a
-    degenerate estimate with ``passed = None``.
+    configured tolerance.
     """
     chain = config.process
     if not isinstance(chain, FiniteChain):
@@ -210,12 +223,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateEstimate:
     config.require_rate_replicates()
     if is_degenerate(chain):
         raise ValueError("degenerate process: use the degenerate pipeline")
-    rms, y_vars = [], []
-    for n in config.n_list:
-        errs = coupling_sup_errors(chain, config, n)
-        level, var_y = _l2_with_variance(errs)
-        rms.append(level)
-        y_vars.append(var_y)
+    rms, y_vars = _coupling_ladder(chain, config)
     return _rate_estimate(config.n_list, rms, target=1.0 / config.p,
                           tolerance=config.tolerance, y_vars=y_vars)
 
@@ -263,12 +271,7 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
     surrogate_estimate = None
     if config.surrogate is not None:
         p_eff = min(4.0, 1.0 / gamma)
-        rms, y_vars = [], []
-        for n in config.n_list:
-            errs = coupling_sup_errors(config.surrogate, config, n, p_override=p_eff)
-            level, var_y = _l2_with_variance(errs)
-            rms.append(level)
-            y_vars.append(var_y)
+        rms, y_vars = _coupling_ladder(config.surrogate, replace(config, p=p_eff))
         surrogate_estimate = _rate_estimate(
             config.n_list, rms, target=target, tolerance=config.tolerance,
             y_vars=y_vars)
@@ -307,13 +310,7 @@ def donsker_wasserstein(config: ExperimentConfig) -> WassersteinReport:
     config.require_rate_replicates()
     if is_degenerate(chain):
         raise ValueError("degenerate process: use the degenerate pipeline")
-    rms, y_vars = [], []
-    for n in config.n_list:
-        errs = coupling_sup_errors(chain, config, n)
-        scaled = np.array([donsker_sup_distance(e, n) for e in errs])
-        level, var_y = _l2_with_variance(scaled)
-        rms.append(level)
-        y_vars.append(var_y)
+    rms, y_vars = _coupling_ladder(chain, config, rescale=True)
     anchor_c = rms[0] / config.n_list[0] ** (-1.0 / 6.0)
     extra = [{"reference_n16": anchor_c * n ** (-1.0 / 6.0)} for n in config.n_list]
     tol = max(config.tolerance, 0.10)

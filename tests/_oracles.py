@@ -3,13 +3,21 @@
 Everything here avoids the library's computational paths: conditional
 expectations by explicit path enumeration, tail probabilities by survival
 dynamic programming (cross-checked against the reflection identity), event
-suprema by full subset enumeration.
+suprema by full subset enumeration.  Reference kernels (the chain stepper
+and the coupling loop) keep the loops that faster kernels replaced, and
+``random_lattice_chain`` draws the chains they are compared on.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 from scipy.stats import binom
+
+from weakdep.coupling import block_sum_dist, skorohod_split
+from weakdep.processes import FiniteChain
+from weakdep.rng import block_stream
 
 
 def _positive_vectors(r, q):
@@ -157,6 +165,22 @@ def covariance_series_partial(chain, kmax):
     return total
 
 
+def random_lattice_chain(rng, n_states):
+    """Random lattice chain with zero transition entries and integer
+    observable values in [-3, 3]; the stationary vector is uniform, not the
+    chain's own law, which no kernel compared here depends on."""
+    shape = (n_states, n_states)
+    weights = rng.integers(0, 4, size=shape) * (rng.random(shape) < 0.6)
+    weights[weights.sum(axis=1) == 0, 0] = 1
+    transition = weights / weights.sum(axis=1, keepdims=True)
+    obs = rng.integers(-3, 4, size=n_states)
+    return FiniteChain(states=tuple(range(n_states)), transition=transition,
+                       stationary=np.full(n_states, 1.0 / n_states),
+                       observable=obs.astype(float), step=1.0, obs_int=obs,
+                       sup_norm=float(np.abs(obs).max()), exact_transition=(),
+                       exact_stationary=())
+
+
 def chain_states_loop(chain, u):
     """Reference chain stepper: each step compares u_j with the whole
     cumulative row of the current state, an (r, S) temporary, and clips the
@@ -172,3 +196,63 @@ def chain_states_loop(chain, u):
         rows = cum_rows[states[:, j - 1]]
         states[:, j] = np.minimum((u[:, j][:, None] > rows).sum(axis=1), last)
     return states
+
+
+def couple_path_loop(chain, schedule, sigma2, states, vals_int, seed, replicate):
+    """Reference coupling: the block-by-block loop with a scalar cdf lookup.
+
+    Each block builds its substream in serial order, draws the atom
+    randomizer, maps its integer sum to F(u-) + delta (F(u) - F(u-)) of the
+    exact block-start law (F(u) = F(u-) between atoms), takes the clamped
+    Gaussian quantile and splits the total.  Returns (t, u_by_level,
+    v_by_level)."""
+    p_lo = float(ndtr(-8.2))
+    p_hi = min(1.0 - p_lo, float(np.nextafter(1.0, 0.0)))
+
+    def quantile(p):
+        return float(ndtri(min(max(p, p_lo), p_hi)))
+
+    def clip_unit(u):
+        return min(max(u, 2.0 ** -60), float(np.nextafter(1.0, 0.0)))
+
+    def cdf_pair(dist, u_int):
+        idx = int(np.searchsorted(dist.sums_int, u_int, side="left"))
+        f_minus = float(dist.cdf[idx - 1]) if idx > 0 else 0.0
+        if idx < len(dist.sums_int) and int(dist.sums_int[idx]) == u_int:
+            return f_minus, float(dist.cdf[idx])
+        return f_minus, f_minus
+
+    n = len(vals_int)
+    t = np.zeros(n + 1)
+    sigma = math.sqrt(sigma2)
+    t_run = t[1] = sigma * quantile(clip_unit(float(
+        block_stream(seed, n, replicate, 0).random())))
+    u_by_level, v_by_level = [], []
+    serial = 1
+    for level in schedule.levels:
+        m = int(schedule.m[level])
+        count = 2 ** m
+        us, vs = [], []
+        for k in range(2 ** (level - m)):
+            b = 2 ** int(level) + k * count
+            u_int = int(np.sum(vals_int[b:b + count]))
+            dist = block_sum_dist(chain, int(states[b]), m)
+            gen = block_stream(seed, n, replicate, serial)
+            serial += 1
+            delta = clip_unit(float(gen.random()))
+            f_minus, f_at = cdf_pair(dist, u_int)
+            assert f_at > 0.0
+            v = sigma * (2.0 ** (m / 2.0)) * quantile(f_minus + delta * (f_at - f_minus))
+            target = t_run + v
+            if m == 0:
+                t[b + 1] = target
+            else:
+                prefix = t_run + np.cumsum(skorohod_split(v, m, sigma2, gen))
+                prefix[-1] = target
+                t[b + 1:b + count + 1] = prefix
+            t_run = target
+            us.append(u_int * chain.step)
+            vs.append(v)
+        u_by_level.append(np.asarray(us))
+        v_by_level.append(np.asarray(vs))
+    return t, u_by_level, v_by_level

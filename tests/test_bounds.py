@@ -126,6 +126,16 @@ def test_clopper_pearson_properties(k, n):
     assert 0.0 <= lo <= k / n <= hi <= 1.0
 
 
+def test_clopper_pearson_matches_beta_quantiles():
+    from scipy.stats import beta
+    a = (1.0 - 0.95) / 2.0
+    for n in (1, 2, 7, 100, 1000, 2048, 20_000):
+        for k in sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1, n} & set(range(n + 1))):
+            lo, hi = clopper_pearson(k, n)
+            assert lo == (0.0 if k == 0 else float(beta.ppf(a, k, n - k + 1)))
+            assert hi == (1.0 if k == n else float(beta.ppf(1.0 - a, k + 1, n - k)))
+
+
 def test_lsv_tail_estimate_runs():
     from weakdep.processes import LsvObservable, LsvProcess
     proc = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),

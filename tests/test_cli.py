@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from weakdep.cli import main
+import weakdep
+from weakdep.cli import BOUND_KEYS, COUPLE_KEYS, main
+from weakdep.experiments import check_config_keys
 from weakdep.rng import holdout_seed
+
+CONFIGS = Path(__file__).parent.parent / "scripts" / "configs"
 
 
 @pytest.fixture()
@@ -83,6 +91,36 @@ def test_couple_run(tmp_path, chain_doc):
     assert len(lines) == 258
     summary = json.loads((out / "summary.json").read_text())["summary"]
     assert summary["sup_error"] > 0
+
+
+@pytest.mark.parametrize("command, doc, typo", [
+    (["couple", "run"], {"n": 256, "seed": 5, "varient": "inflated"}, "varient"),
+    (["bound", "fit"], {"grid_n": [64], "replicate": 100}, "replicate"),
+])
+def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
+    cfg = write_config(tmp_path, {"process": chain_doc, **doc})
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, command + ["--config", cfg, "--out", str(out)])
+    assert result.exit_code != 0
+    assert str(result.exception) == f"unknown config keys: {typo}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, allowed", [("bound_flip", BOUND_KEYS),
+                                           ("couple_flip", COUPLE_KEYS)])
+def test_shipped_cli_configs_load(name, allowed):
+    check_config_keys(json.loads((CONFIGS / f"{name}.json").read_text()), allowed)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(weakdep.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weakdep.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_rates_command_deterministic(tmp_path, chain_doc):

@@ -11,12 +11,13 @@ from scipy.stats import kstest
 from weakdep import (BlockDist, block_sum_dist, build_coupling, coupling_errors,
                      flip_chain, make_coboundary, make_schedule,
                      sigma2_exact, skorohod_split, w2_conditional)
-from weakdep.coupling import (BudgetExceededError, _conditional_quantile,
-                              block_coupling_second_moment,
+from weakdep.coupling import (VARIANTS, BudgetExceededError, _conditional_quantile,
+                              _couple_path, block_coupling_second_moment,
                               block_sum_dist_exact, gaussian_quantile)
+from weakdep.processes import sample_chain_paths
 from weakdep.rng import substream
 
-from _oracles import block_dist_brute
+from _oracles import block_dist_brute, couple_path_loop, random_lattice_chain
 
 
 # ---------------------------------------------------------------------------
@@ -145,36 +146,44 @@ def two_point_dist():
 
 
 def test_quantile_two_point_worked_value():
-    v = _conditional_quantile(two_point_dist(), -1, 0.5)
-    assert v == pytest.approx(-0.6744897501960817, abs=1e-12)
-    v = _conditional_quantile(two_point_dist(), -1, 0.2)
-    assert v == pytest.approx(-1.2815515655446004, abs=1e-12)
+    v = _conditional_quantile(two_point_dist(), np.array([-1, -1]),
+                              np.array([0.5, 0.2]))
+    assert v == pytest.approx([-0.6744897501960817, -1.2815515655446004],
+                              abs=1e-12)
 
 
 def test_quantile_identity_on_matching_discretization():
     for m_atoms in (21, 81):
         qs = (np.arange(m_atoms) + 0.5) / m_atoms
-        atoms = np.sort(gaussian_quantile_vec(qs))
+        atoms = np.sort(gaussian_quantile(qs))
         dist = BlockDist.from_atoms(atoms, np.full(m_atoms, 1.0 / m_atoms),
                                     sums_int=np.arange(m_atoms))
-        for i in range(0, m_atoms, 5):
-            v = _conditional_quantile(dist, i, 0.5)
-            assert v == pytest.approx(float(atoms[i]), abs=1e-10)
+        idx = np.arange(0, m_atoms, 5)
+        v = _conditional_quantile(dist, idx, np.full(len(idx), 0.5))
+        assert v == pytest.approx(atoms[idx], abs=1e-10)
 
 
-def gaussian_quantile_vec(qs):
-    return np.array([gaussian_quantile(float(q)) for q in qs])
+def test_quantile_between_atoms_is_left_limit():
+    # F(u) = F(u-) off the atoms, whatever the randomizer: 1 lies between
+    # the atoms 0 and 2, and 3 beyond the last atom.
+    dist = BlockDist.from_atoms([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25], step=1.0,
+                                sums_int=np.array([-2, 0, 2]))
+    v = _conditional_quantile(dist, np.array([1, 1, 3]), np.array([0.1, 0.9, 0.5]))
+    assert v[0] == v[1] == gaussian_quantile(0.75)
+    assert v[2] == gaussian_quantile(1.0)
 
 
 def test_quantile_clamp_path_finite():
-    v = _conditional_quantile(two_point_dist(), 1, 1.0 - 1e-12)
-    assert math.isfinite(v)
-    assert v <= 8.3
+    v = _conditional_quantile(two_point_dist(), np.array([1, -1]),
+                              np.array([1.0 - 1e-12, 1e-300]))
+    assert np.all(np.isfinite(v))
+    assert np.all(np.abs(v) <= 8.3)
 
 
 def test_quantile_validation():
     with pytest.raises(ValueError, match="support"):
-        _conditional_quantile(two_point_dist(), -5, 0.5)
+        _conditional_quantile(two_point_dist(), np.array([1, -5]),
+                              np.array([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +344,32 @@ def test_coupling_v_independent_of_past():
     corr_start = np.corrcoef(vs, starts)[0, 1]
     assert abs(corr_sum) <= 3.0 / math.sqrt(n)
     assert abs(corr_start) <= 3.0 / math.sqrt(n)
+
+
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(VARIANTS))
+@settings(max_examples=40, deadline=None)
+def test_couple_path_matches_reference_loop(n_states, seed, variant):
+    # The per-level coupling against the block-by-block loop it replaced:
+    # same path and substreams in, identical T, U and V out.
+    rng = np.random.default_rng(seed)
+    chain = random_lattice_chain(rng, n_states)
+    big_n = int(rng.integers(2, 9))
+    sch = make_schedule(big_n, float(rng.uniform(2.01, 4.0)), variant,
+                        epsilon=0.0 if variant == "balanced" else float(rng.uniform(0.1, 1.5)))
+    sigma2 = float(rng.uniform(0.1, 4.0))
+    replicate = int(rng.integers(0, 4))
+    states, vals = sample_chain_paths(chain, sch.n, seed, [replicate])
+    path = _couple_path(chain, sch, sigma2, states[0], vals[0], seed, replicate)
+    t, u_by_level, v_by_level = couple_path_loop(chain, sch, sigma2, states[0],
+                                                 vals[0], seed, replicate)
+    assert np.array_equal(path.t, t)
+    assert len(path.u_by_level) == len(u_by_level) == big_n + 1
+    for got_u, got_v, want_u, want_v in zip(path.u_by_level, path.v_by_level,
+                                            u_by_level, v_by_level):
+        assert np.array_equal(got_u, want_u)
+        assert np.array_equal(got_v, want_v)
 
 
 def test_coupling_determinism(flip25):

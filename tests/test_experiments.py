@@ -58,7 +58,9 @@ def test_config_rejects_unknown_keys(flip25):
     doc = small_config(flip25).to_dict()
     doc["replicate"] = 32
     doc["threads"] = 2
-    with pytest.raises(ValueError, match="unknown config keys: replicate, threads"):
+    doc["debug_identity_coupling"] = False
+    with pytest.raises(ValueError, match="unknown config keys: "
+                       "debug_identity_coupling, replicate, threads"):
         ExperimentConfig.from_dict(doc)
 
 
@@ -79,11 +81,13 @@ def test_rate_experiment_consistency(flip25):
     assert all(row["error_l2"] > 0 for row in report.rows)
 
 
-def test_rate_experiment_identity_coupling_flagged(flip25):
-    report = run_rate_experiment(small_config(flip25,
-                                              debug_identity_coupling=True))
+def test_rate_experiment_identity_coupling_flagged():
+    # An identity coupling has zero error at every n: no slope to fit.
+    report = experiments._rate_estimate([256, 512, 1024], [0.0, 0.0, 0.0],
+                                        target=0.25, tolerance=0.08)
     assert report.degenerate
     assert report.passed is None
+    assert [row["n"] for row in report.rows] == [256, 512, 1024]
 
 
 def test_rate_experiment_rejects_degenerate(flip25):

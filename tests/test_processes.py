@@ -10,12 +10,12 @@ from weakdep import (build_finite_chain, flip_chain, lsv_iterate,
                      make_coboundary, normalize_process, sample_path,
                      sigma2_exact, symmetrize)
 from weakdep.bounds import _chain_running_stats
-from weakdep.processes import (FiniteChain, LsvObservable, LsvProcess,
+from weakdep.processes import (LsvObservable, LsvProcess,
                                _chain_states_from_uniforms, lsv_reference_mean,
                                path_to_csv, process_from_config,
                                process_to_config, sample_lsv_ensemble)
 
-from _oracles import chain_states_loop
+from _oracles import chain_states_loop, random_lattice_chain
 
 
 def test_flip_chain_stationary_and_sup_norm():
@@ -162,16 +162,8 @@ def test_chain_kernel_matches_reference_loop(n_states, seed):
     # Random lattice chains with zero transition entries; a fifth of the
     # uniforms sit exactly on a threshold, where "strictly below" decides.
     rng = np.random.default_rng(seed)
-    shape = (n_states, n_states)
-    weights = rng.integers(0, 4, size=shape) * (rng.random(shape) < 0.6)
-    weights[weights.sum(axis=1) == 0, 0] = 1
-    transition = weights / weights.sum(axis=1, keepdims=True)
-    obs = rng.integers(-3, 4, size=n_states)
-    chain = FiniteChain(states=tuple(range(n_states)), transition=transition,
-                        stationary=np.full(n_states, 1.0 / n_states),
-                        observable=obs.astype(float), step=1.0, obs_int=obs,
-                        sup_norm=float(np.abs(obs).max()), exact_transition=(),
-                        exact_stationary=())
+    chain = random_lattice_chain(rng, n_states)
+    transition, obs = chain.transition, chain.obs_int
     u = rng.random((int(rng.integers(1, 40)), int(rng.integers(2, 60))))
     ties = rng.random(u.shape) < 0.2
     u[ties] = rng.choice(np.cumsum(transition, axis=1).ravel(), size=int(ties.sum()))
