@@ -2,9 +2,8 @@
 approximation of weakly dependent bounded sequences."""
 
 from .processes import (FiniteChain, LsvObservable, LsvProcess, SamplePath,
-                        build_finite_chain, flip_chain, lsv_iterate,
-                        make_coboundary, normalize_process, sample_path,
-                        symmetrize)
+                        build_finite_chain, flip_chain, make_coboundary,
+                        normalize_process, sample_path, symmetrize)
 from .coefficients import (SeriesSummary, TailModel, ThetaTable,
                            alpha_inf4_exact, degenerate_moment_bound,
                            series_summary, sigma2_exact, symmetrization_check,

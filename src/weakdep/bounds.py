@@ -62,22 +62,29 @@ class FukNagaevParams:
             raise ValueError("constants must be positive")
 
 
-def fuk_nagaev_rhs(params: FukNagaevParams) -> float:
-    """Value of the two-term bound; the Gaussian term carries the variance
-    indicator and disappears when sigma2 == 0."""
+def bound_terms(params: FukNagaevParams) -> tuple[float, float]:
+    """The two terms of the bound at c1 = c2 = 1: (Gaussian, polynomial).  The
+    Gaussian term carries the variance indicator and is 0 when sigma2 == 0."""
+    n, x, sigma2 = params.n, params.x, params.sigma2
     gauss = 0.0
-    if params.sigma2 > 0:
-        ratio = params.n * params.sigma2 / params.x ** 2
-        gauss = params.c1 * ratio ** 4 * math.exp(
-            -params.x ** 2 / (16.0 * params.n * params.sigma2))
-    poly = (params.c2 * params.n / params.x ** 4
-            * (params.theta1 * params.theta2 + params.weighted_x))
-    return gauss + poly
+    if sigma2 > 0:
+        gauss = (n * sigma2 / x ** 2) ** 4 * math.exp(-x ** 2 / (16.0 * n * sigma2))
+    poly = n / x ** 4 * (params.theta1 * params.theta2 + params.weighted_x)
+    return gauss, poly
 
 
-def params_from_summary(summary: SeriesSummary, sigma2: float, n: int, x: float,
+def fuk_nagaev_rhs(params: FukNagaevParams) -> float:
+    """Value of the two-term bound."""
+    gauss, poly = bound_terms(params)
+    return params.c1 * gauss + params.c2 * poly
+
+
+def params_from_summary(summary: SeriesSummary, n: int, x: float,
                         c1: float = 1.0, c2: float = 1.0) -> FukNagaevParams:
-    return FukNagaevParams(n=n, x=x, sigma2=sigma2, theta1=summary.theta1,
+    """Bound inputs at (n, x) from a series summary, sigma2 included."""
+    if summary.sigma2 is None:
+        raise ValueError("series summary carries no sigma2")
+    return FukNagaevParams(n=n, x=x, sigma2=summary.sigma2, theta1=summary.theta1,
                            theta2=summary.theta2, weighted_x=summary.weighted(x),
                            c1=c1, c2=c2)
 
@@ -249,21 +256,14 @@ class ConstantsFit:
     search_box: tuple = (1e-3, 1e6)
 
 
-def _grid_terms(summary: SeriesSummary, sigma2: float, grid) -> tuple[np.ndarray, np.ndarray]:
+def _grid_terms(summary: SeriesSummary, grid) -> tuple[np.ndarray, np.ndarray]:
     """Per grid point: Gaussian term at c1 = 1 and polynomial term at c2 = 1."""
-    a = np.empty(len(grid))
-    b = np.empty(len(grid))
-    for i, (n, x) in enumerate(grid):
-        b[i] = n / x ** 4 * (summary.theta1 * summary.theta2 + summary.weighted(x))
-        if sigma2 > 0:
-            a[i] = ((n * sigma2 / x ** 2) ** 4
-                    * math.exp(-x ** 2 / (16.0 * n * sigma2)))
-        else:
-            a[i] = 0.0
-    return a, b
+    terms = np.array([bound_terms(params_from_summary(summary, n, x)) for n, x in grid],
+                     dtype=float).reshape(-1, 2)
+    return terms[:, 0], terms[:, 1]
 
 
-def _envelope_constraints(grid, ests, summary, sigma2, mesh: int = 7):
+def _envelope_constraints(grid, ests, summary, mesh: int = 7):
     """Interior dominance constraints between adjacent training x at fixed n.
 
     The true tail is nonincreasing in x, so between anchors it stays below
@@ -281,7 +281,7 @@ def _envelope_constraints(grid, ests, summary, sigma2, mesh: int = 7):
             pad = 1.0 + min(0.5, 2.0 * width / max(est_l.p_hat, width, 1e-300))
             target = est_l.ci_high * pad
             xs = np.geomspace(x_l, x_r, mesh)[1:-1]
-            a, b = _grid_terms(summary, sigma2, [(n, float(x)) for x in xs])
+            a, b = _grid_terms(summary, [(n, float(x)) for x in xs])
             rows_a.extend(a)
             rows_b.extend(b)
             rows_u.extend([target] * len(xs))
@@ -289,7 +289,7 @@ def _envelope_constraints(grid, ests, summary, sigma2, mesh: int = 7):
 
 
 def fit_constants(process, grid, replicates: int, seed: int, *,
-                  summary: SeriesSummary, sigma2: float,
+                  summary: SeriesSummary,
                   search_box: tuple[float, float] = (1e-3, 1e6),
                   points_per_decade: int = 8, statistic: str = "max") -> ConstantsFit:
     """Smallest constants on a log lattice whose bound dominates the
@@ -302,15 +302,17 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
     grids instead of relying on lattice overshoot.
 
     "Smallest" means minimal product c1 * c2 (ties broken toward smaller c2
-    then c1).  For degenerate processes (sigma2 == 0) the Gaussian constant
-    is irrelevant and pinned at the box minimum.  Raises when even the box
-    corner fails, which signals a bound violation or broken inputs.
+    then c1).  sigma2 and the dependence sums come from ``summary``.  When
+    every Gaussian term is 0 (sigma2 == 0, or a tiny sigma2 whose term
+    underflows) the Gaussian constant is irrelevant and pinned at the box
+    minimum.  Raises when even the box corner fails, which signals a bound
+    violation or broken inputs.
     """
+    a_pts, b_pts = _grid_terms(summary, grid)
     samples = _samples_by_n(process, grid, replicates, seed)
     ests = [empirical_tail(samples[n], x, statistic=statistic) for (n, x) in grid]
     point_targets = np.array([e.ci_high for e in ests])
-    a_pts, b_pts = _grid_terms(summary, sigma2, grid)
-    a_env, b_env, u_env = _envelope_constraints(grid, ests, summary, sigma2)
+    a_env, b_env, u_env = _envelope_constraints(grid, ests, summary)
     targets = np.concatenate([point_targets, u_env])
     a = np.concatenate([a_pts, a_env])
     b = np.concatenate([b_pts, b_env])
@@ -320,7 +322,7 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
     candidates = np.geomspace(lo, hi, int(round(points_per_decade * decades)) + 1)
 
     best = None
-    gaussian_active = sigma2 > 0 and np.any(a > 0)
+    gaussian_active = bool(np.any(a > 0))
     c1_options = candidates if gaussian_active else candidates[:1]
     for c2 in candidates:
         residual = targets - c2 * b
@@ -365,10 +367,10 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
 
 
 def validate_constants(process, fit: ConstantsFit, holdout_grid, replicates: int,
-                       seed: int, *, summary: SeriesSummary, sigma2: float,
+                       seed: int, *, summary: SeriesSummary,
                        statistic: str = "max") -> tuple[bool, list]:
     """Check bound dominance over the holdout grid's upper confidence limits."""
-    a, b = _grid_terms(summary, sigma2, holdout_grid)
+    a, b = _grid_terms(summary, holdout_grid)
     samples = _samples_by_n(process, holdout_grid, replicates, seed)
     rows = []
     ok = True

@@ -30,6 +30,26 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
+# Per command: the config keys allowed besides "process", with their defaults.
+CONFIG_DEFAULTS = {
+    "coeffs": {},
+    "bound": {"grid_n": [256, 512, 1024], "points_per_n": 4, "replicates": 20000,
+              "seed": 0, "theta_horizon": 16},
+    "couple": {"n": 4096, "seed": 0, "p": 4.0, "variant": "balanced",
+               "epsilon": 0.5, "c_fit": 1.0},
+    "export-path": {"seed": 0},
+}
+
+
+def _read_config(path: str, command: str) -> tuple[dict, dict]:
+    """(document, settings) of a command's config: unknown keys are refused,
+    and the settings fill in the command's defaults."""
+    doc = _load_config(path)
+    defaults = CONFIG_DEFAULTS[command]
+    check_config_keys(doc, ("process", *defaults))
+    return doc, {**defaults, **doc}
+
+
 def _experiment_config(doc: dict, seed) -> ExperimentConfig:
     cfg = ExperimentConfig.from_dict(doc)
     if seed is not None:
@@ -61,8 +81,8 @@ def main():
 @click.option("--horizon", type=int, default=16)
 def coeffs(config_path, out_dir, p, q, horizon):
     """Exact dependence coefficients and series summary for a chain config."""
-    doc = _load_config(config_path)
-    process = process_from_config(doc["process"] if "process" in doc else doc)
+    doc, _ = _read_config(config_path, "coeffs")
+    process = process_from_config(doc["process"])
     if not isinstance(process, FiniteChain):
         raise click.ClickException("coeffs requires a finite_chain process")
     table = coef.certified_theta_table(process, p, q, horizon)
@@ -86,37 +106,25 @@ def bound():
     """Tail-bound fitting and dominance checks."""
 
 
-BOUND_KEYS = ("process", "grid_n", "points_per_n", "replicates", "seed",
-              "theta_horizon")
-COUPLE_KEYS = ("process", "n", "seed", "p", "variant", "epsilon", "c_fit")
-
-
-def _bound_setup(doc, seed):
-    check_config_keys(doc, BOUND_KEYS)
-    process = process_from_config(doc["process"])
-    summary = coef.summarize_chain(process,
-                                   horizon=int(doc.get("theta_horizon", 16)))
-    sigma2 = summary.sigma2
-    n_values = doc.get("grid_n", [256, 512, 1024])
-    points = int(doc.get("points_per_n", 4))
-    replicates = int(doc.get("replicates", 20000))
-    seed = int(doc.get("seed", 0) if seed is None else seed)
-    return process, summary, sigma2, n_values, points, replicates, seed
+def _bound_setup(cfg, seed):
+    process = process_from_config(cfg["process"])
+    summary = coef.summarize_chain(process, horizon=int(cfg["theta_horizon"]))
+    seed = int(cfg["seed"] if seed is None else seed)
+    return (process, summary, cfg["grid_n"], int(cfg["points_per_n"]),
+            int(cfg["replicates"]), seed)
 
 
 @bound.command("fit")
 @with_common
 def bound_fit(config_path, seed, out_dir):
     """Fit the two bound constants on the training grid."""
-    doc = _load_config(config_path)
-    process, summary, sigma2, n_values, points, replicates, seed = \
-        _bound_setup(doc, seed)
+    doc, cfg = _read_config(config_path, "bound")
+    process, summary, n_values, points, replicates, seed = _bound_setup(cfg, seed)
     grid = bnd.tail_grid(n_values, points, process.sup_norm, holdout=False)
-    fit = bnd.fit_constants(process, grid, replicates, seed, summary=summary,
-                            sigma2=sigma2)
+    fit = bnd.fit_constants(process, grid, replicates, seed, summary=summary)
     emit_report({
         "config": {**doc, "seed": seed},
-        "summary": {"c1": fit.c1, "c2": fit.c2, "sigma2": sigma2,
+        "summary": {"c1": fit.c1, "c2": fit.c2, "sigma2": summary.sigma2,
                     "binding": fit.binding, "search_box": list(fit.search_box)},
         "tables": {"training_grid": fit.rows},
     }, out_dir)
@@ -130,14 +138,13 @@ def bound_fit(config_path, seed, out_dir):
 def bound_check(config_path, seed, out_dir, c1, c2):
     """Check dominance of given constants on the holdout grid.  Without --seed
     it runs on rng.holdout_seed of the config seed, never the training paths."""
-    doc = _load_config(config_path)
-    process, summary, sigma2, n_values, points, replicates, run_seed = \
-        _bound_setup(doc, seed)
+    doc, cfg = _read_config(config_path, "bound")
+    process, summary, n_values, points, replicates, run_seed = _bound_setup(cfg, seed)
     seed = holdout_seed(run_seed) if seed is None else run_seed
     grid = bnd.tail_grid(n_values, points, process.sup_norm, holdout=True)
     fit = bnd.ConstantsFit(c1=c1, c2=c2)
     ok, rows = bnd.validate_constants(process, fit, grid, replicates, seed,
-                                      summary=summary, sigma2=sigma2)
+                                      summary=summary)
     emit_report({
         "config": {**doc, "seed": seed, "c1": c1, "c2": c2},
         "summary": {"dominates_holdout": ok},
@@ -155,17 +162,13 @@ def couple():
 @with_common
 def couple_run(config_path, seed, out_dir):
     """Build one coupled path and emit per-level statistics plus the path CSV."""
-    doc = _load_config(config_path)
-    check_config_keys(doc, COUPLE_KEYS)
-    process = process_from_config(doc["process"])
-    n = int(doc.get("n", 4096))
-    seed = int(doc.get("seed", 0) if seed is None else seed)
-    p = float(doc.get("p", 4.0))
-    variant = doc.get("variant", "balanced")
-    epsilon = float(doc.get("epsilon", 0.5))
-    c_fit = float(doc.get("c_fit", 1.0))
-    big_n = n.bit_length() - 2
-    schedule = cpl.make_schedule(big_n, p, variant, epsilon=epsilon, c_fit=c_fit)
+    doc, cfg = _read_config(config_path, "couple")
+    process = process_from_config(cfg["process"])
+    n = int(cfg["n"])
+    seed = int(cfg["seed"] if seed is None else seed)
+    c_fit = float(cfg["c_fit"])
+    schedule = cpl.make_schedule(n.bit_length() - 2, float(cfg["p"]), cfg["variant"],
+                                 epsilon=float(cfg["epsilon"]), c_fit=c_fit)
     sigma2 = coef.sigma2_exact(process)
     path = cpl.build_coupling(process, schedule, sigma2, n, seed)
     errs = cpl.coupling_errors(path)
@@ -259,9 +262,9 @@ def degenerate(config_path, seed, out_dir):
 @click.option("--n", type=int, default=1024)
 def export_path(config_path, seed, out_dir, n):
     """Sample one path of a configured process and export it as CSV."""
-    doc = _load_config(config_path)
-    process = process_from_config(doc["process"] if "process" in doc else doc)
-    seed = int(doc.get("seed", 0) if seed is None else seed)
+    _, cfg = _read_config(config_path, "export-path")
+    process = process_from_config(cfg["process"])
+    seed = int(cfg["seed"] if seed is None else seed)
     path = sample_path(process, n, seed)
     os.makedirs(out_dir, exist_ok=True)
     from .processes import path_to_csv

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -220,36 +219,6 @@ def block_sum_dist(chain: FiniteChain, start_state: int, m: int) -> BlockDist:
         length=2 ** m,
         end_state_probs=joint[mask],
     )
-
-
-def block_sum_dist_exact(chain: FiniteChain, start_state: int, m: int) -> dict:
-    """Rational-arithmetic block law for small m: {(sum_int, end): Fraction}.
-
-    Companion of :func:`block_sum_dist` used to certify exact mass
-    conservation; guarded to m <= 6.
-    """
-    if m > 6:
-        raise BudgetExceededError("exact mode is guarded to m <= 6")
-    k = [int(v) for v in chain.obs_int]
-    t = {}
-    for a in range(chain.n_states):
-        t[a] = {}
-        for bb in range(chain.n_states):
-            pr = chain.exact_transition[a][bb]
-            if pr > 0:
-                key = (k[bb], bb)
-                t[a][key] = t[a].get(key, Fraction(0)) + pr
-    for _ in range(m):
-        out = {}
-        for a in range(chain.n_states):
-            acc: dict = {}
-            for (u1, mid), p1 in t[a].items():
-                for (u2, end), p2 in t[mid].items():
-                    key = (u1 + u2, end)
-                    acc[key] = acc.get(key, Fraction(0)) + p1 * p2
-            out[a] = acc
-        t = out
-    return t[start_state]
 
 
 # ---------------------------------------------------------------------------

@@ -254,21 +254,6 @@ def lsv_map(gamma: float, x: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def lsv_iterate(gamma: float, x0: float, n: int) -> np.ndarray:
-    """Orbit x0, T(x0), ..., T^n(x0) of the intermittent map."""
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError("x0 must lie in [0, 1]")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie strictly inside (0, 1)")
-    orbit = np.empty(n + 1)
-    orbit[0] = float(x0)
-    x = np.array([float(x0)])
-    for k in range(1, n + 1):
-        x = lsv_map(gamma, x)
-        orbit[k] = x[0]
-    return orbit
-
-
 @dataclass(frozen=True)
 class LsvObservable:
     """Named bounded observable on [0, 1] with an explicit centering constant."""
@@ -322,16 +307,11 @@ def lsv_reference_mean(gamma: float, total_iterations: int = 10**7, seed: int = 
     (after a shared burn-in of one tenth of the per-orbit length).
     """
     per_orbit = max(1, total_iterations // orbits)
-    burn = per_orbit // 10
-    gen = path_stream(seed, per_orbit, 0)
-    x = gen.random(orbits)
-    for _ in range(burn):
-        x = lsv_map(gamma, x)
-    acc = 0.0
-    for _ in range(per_orbit):
-        x = lsv_map(gamma, x)
-        acc += float(x.sum())
-    return acc / (per_orbit * orbits)
+    process = LsvProcess(gamma=gamma, observable=LsvObservable("identity", 0.0),
+                         burn_in=per_orbit // 10)
+    x = path_stream(seed, per_orbit, 0).random(orbits)
+    blocks = _lsv_value_blocks(process, x, per_orbit, LSV_BLOCK_STEPS)
+    return sum(float(block.sum()) for block in blocks) / (per_orbit * orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +421,10 @@ def sample_path(process, n: int, seed: int, replicate: int = 0) -> SamplePath:
     raise TypeError(f"unsupported process type {type(process).__name__}")
 
 
-def _lsv_value_blocks(process: LsvProcess, n: int, seed: int,
-                      replicates: Sequence[int], width: int):
-    """Observable values X_1..X_n of the replicate orbits, lockstep across
-    replicates, yielded as (r, width) time blocks (the last may be narrower)."""
-    x = np.array([float(path_stream(seed, n, rep).random()) for rep in replicates])
+def _lsv_value_blocks(process: LsvProcess, x: np.ndarray, n: int, width: int):
+    """Observable values X_1..X_n of the orbits started at x, after the
+    process burn-in, lockstep across orbits, yielded as (r, width) time blocks
+    (the last may be narrower).  The one LSV orbit loop."""
     for _ in range(process.burn_in):
         x = lsv_map(process.gamma, x)
     for start in range(0, n, width):
@@ -456,10 +435,18 @@ def _lsv_value_blocks(process: LsvProcess, n: int, seed: int,
         yield process.observable(orbit)
 
 
+def _lsv_replicate_blocks(process: LsvProcess, n: int, seed: int,
+                          replicates: Sequence[int]):
+    """Value blocks of the replicate orbits; replicate rep starts at the first
+    draw of its path stream."""
+    x = np.array([float(path_stream(seed, n, rep).random()) for rep in replicates])
+    return _lsv_value_blocks(process, x, n, LSV_BLOCK_STEPS)
+
+
 def sample_lsv_ensemble(process: LsvProcess, n: int, seed: int,
                         replicates: Sequence[int]) -> np.ndarray:
     """Observable values (r, n) for LSV orbits, lockstep across replicates."""
-    blocks = _lsv_value_blocks(process, n, seed, replicates, LSV_BLOCK_STEPS)
+    blocks = _lsv_replicate_blocks(process, n, seed, replicates)
     return np.concatenate([np.empty((len(replicates), 0)), *blocks], axis=1)
 
 
@@ -472,7 +459,7 @@ def lsv_running_stats(process: LsvProcess, n: int, seed: int,
     s = np.zeros(len(replicates))
     smax = np.zeros(len(replicates))
     smin = np.zeros(len(replicates))
-    for values in _lsv_value_blocks(process, n, seed, replicates, LSV_BLOCK_STEPS):
+    for values in _lsv_replicate_blocks(process, n, seed, replicates):
         values[:, 0] += s
         sums = np.cumsum(values, axis=1)
         s = sums[:, -1]

@@ -3,18 +3,21 @@
 Everything here avoids the library's computational paths: conditional
 expectations by explicit path enumeration, tail probabilities by survival
 dynamic programming (cross-checked against the reflection identity), event
-suprema by full subset enumeration.  Reference kernels (the chain stepper
+suprema by full subset enumeration, block laws in rational arithmetic.
+Reference kernels (the chain stepper
 and the coupling loop) keep the loops that faster kernels replaced, and
 ``random_lattice_chain`` draws the chains they are compared on.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
+from weakdep.coefficients import BudgetExceededError
 from weakdep.coupling import block_sum_dist, skorohod_split
 from weakdep.processes import FiniteChain
 from weakdep.rng import block_stream
@@ -256,3 +259,33 @@ def couple_path_loop(chain, schedule, sigma2, states, vals_int, seed, replicate)
         u_by_level.append(np.asarray(us))
         v_by_level.append(np.asarray(vs))
     return t, u_by_level, v_by_level
+
+
+def block_sum_dist_exact(chain: FiniteChain, start_state: int, m: int) -> dict:
+    """Rational-arithmetic block law for small m: {(sum_int, end): Fraction}.
+
+    Companion of ``coupling.block_sum_dist`` used to certify exact mass
+    conservation; guarded to m <= 6.
+    """
+    if m > 6:
+        raise BudgetExceededError("exact mode is guarded to m <= 6")
+    k = [int(v) for v in chain.obs_int]
+    t = {}
+    for a in range(chain.n_states):
+        t[a] = {}
+        for bb in range(chain.n_states):
+            pr = chain.exact_transition[a][bb]
+            if pr > 0:
+                key = (k[bb], bb)
+                t[a][key] = t[a].get(key, Fraction(0)) + pr
+    for _ in range(m):
+        out = {}
+        for a in range(chain.n_states):
+            acc: dict = {}
+            for (u1, mid), p1 in t[a].items():
+                for (u2, end), p2 in t[mid].items():
+                    key = (u1 + u2, end)
+                    acc[key] = acc.get(key, Fraction(0)) + p1 * p2
+            out[a] = acc
+        t = out
+    return t[start_state]

@@ -23,11 +23,11 @@ from weakdep.bounds import (fit_constants, params_from_summary, tail_grid,
                             validate_constants)
 from weakdep.coefficients import (TailModel, ThetaTable, sigma2_extrapolated,
                                   summarize_chain)
-from weakdep.coupling import (block_coupling_second_moment, block_sum_dist_exact,
-                              build_coupling, coupling_errors)
+from weakdep.coupling import (block_coupling_second_moment, build_coupling,
+                              coupling_errors)
 from weakdep.processes import symmetrize
 
-from _oracles import theta_brute
+from _oracles import block_sum_dist_exact, theta_brute
 
 pytestmark = pytest.mark.acceptance
 
@@ -113,11 +113,10 @@ def test_criterion_04_bound_dominance(chain, flip_summary):
     hold = tail_grid([256, 512, 1024], 4, chain.sup_norm, holdout=True)
     assert len(train) == 12 and len(hold) == 12
     assert not set(train) & set(hold)
-    fit = fit_constants(chain, train, 100_000, SEED, summary=summ,
-                        sigma2=summ.sigma2)
+    fit = fit_constants(chain, train, 100_000, SEED, summary=summ)
     ok = fit.c1 <= 1e4 and fit.c2 <= 1e4
     dominated, rows = validate_constants(chain, fit, hold, 100_000, SEED + 1,
-                                         summary=summ, sigma2=summ.sigma2)
+                                         summary=summ)
     ok &= dominated
     worst = min(r["rhs"] / max(r["ci_high"], 1e-300) for r in rows)
     _report(4, ok, t0, 600.0,
@@ -128,10 +127,10 @@ def test_criterion_04_bound_dominance(chain, flip_summary):
 def test_criterion_05_polynomial_regime_slope():
     t0 = time.perf_counter()
     table = ThetaTable(values=0.5 ** np.arange(9), tail=TailModel("zero"))
-    summ = series_summary(table)
+    summ = series_summary(table, sigma2=3.0)
     n = 80_000
     xs = np.geomspace(2.0 * math.sqrt(n), n / 2.0, 25)
-    rhs = [fuk_nagaev_rhs(params_from_summary(summ, 3.0, n, float(x)))
+    rhs = [fuk_nagaev_rhs(params_from_summary(summ, n, float(x)))
            for x in xs]
     decade = xs >= xs[-1] / 10.0
     slope = float(np.polyfit(np.log(xs[decade]),
@@ -248,8 +247,7 @@ def test_criterion_10_determinism(tmp_path, chain):
         else:
             summ = summarize_chain(chain, horizon=12)
             grid = tail_grid([128, 256], 3, chain.sup_norm)
-            fit = fit_constants(chain, grid, 2000, SEED + 9, summary=summ,
-                                sigma2=summ.sigma2)
+            fit = fit_constants(chain, grid, 2000, SEED + 9, summary=summ)
             emit_report({"config": {"seed": SEED + 9},
                          "summary": {"c1": fit.c1, "c2": fit.c2},
                          "tables": {"grid": fit.rows}}, out)

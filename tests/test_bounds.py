@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import (FukNagaevParams, empirical_tail, fit_constants, flip_chain,
-                     fuk_nagaev_rhs, make_coboundary, series_summary, tail_grid,
-                     validate_constants)
+from weakdep import (ConstantsFit, FukNagaevParams, empirical_tail, fit_constants,
+                     flip_chain, fuk_nagaev_rhs, make_coboundary, series_summary,
+                     tail_grid, validate_constants)
 from weakdep import bounds, experiments
 from weakdep.bounds import (clopper_pearson, degenerate_moment_check,
                             params_from_summary, path_statistics,
@@ -67,10 +67,10 @@ def test_polynomial_regime_slope():
     # approaches -4 over the last decade once the Gaussian term has died.
     vals = 0.5 ** np.arange(9)
     table = ThetaTable(values=vals, tail=TailModel("zero"))
-    summ = series_summary(table)
+    summ = series_summary(table, sigma2=3.0)
     n = 80_000
     xs = np.geomspace(2.0 * math.sqrt(n), n / 2.0, 25)
-    rhs = [fuk_nagaev_rhs(params_from_summary(summ, 3.0, n, float(x)))
+    rhs = [fuk_nagaev_rhs(params_from_summary(summ, n, float(x)))
            for x in xs]
     decade = xs >= xs[-1] / 10.0
     slope = np.polyfit(np.log(xs[decade]), np.log(np.asarray(rhs)[decade]), 1)[0]
@@ -158,8 +158,7 @@ def flip_summary():
 def test_fit_constants_finite_on_training_grid(flip_summary):
     chain, summ = flip_summary
     grid = tail_grid([128, 256], 3, chain.sup_norm)
-    fit = fit_constants(chain, grid, 5000, seed=13, summary=summ,
-                        sigma2=summ.sigma2)
+    fit = fit_constants(chain, grid, 5000, seed=13, summary=summ)
     assert math.isfinite(fit.c1) and math.isfinite(fit.c2)
     assert fit.binding
     for row in fit.rows:
@@ -170,8 +169,7 @@ def test_fit_constants_finite_for_iid_walk(iid_chain):
     # sub-Gaussian tails dominate both regimes, so finite constants exist
     summ = summarize_chain(iid_chain, horizon=8)
     grid = tail_grid([128, 256], 3, iid_chain.sup_norm)
-    fit = fit_constants(iid_chain, grid, 4000, seed=21, summary=summ,
-                        sigma2=summ.sigma2)
+    fit = fit_constants(iid_chain, grid, 4000, seed=21, summary=summ)
     assert math.isfinite(fit.c1) and math.isfinite(fit.c2)
 
 
@@ -180,10 +178,8 @@ def test_fit_constants_holdout_transfer(flip_summary):
     train = tail_grid([128, 256], 3, chain.sup_norm)
     hold = tail_grid([128, 256], 3, chain.sup_norm, holdout=True)
     assert not set(train) & set(hold)
-    fit = fit_constants(chain, train, 5000, seed=13, summary=summ,
-                        sigma2=summ.sigma2)
-    ok, rows = validate_constants(chain, fit, hold, 5000, seed=14,
-                                  summary=summ, sigma2=summ.sigma2)
+    fit = fit_constants(chain, train, 5000, seed=13, summary=summ)
+    ok, rows = validate_constants(chain, fit, hold, 5000, seed=14, summary=summ)
     assert ok
     assert len(rows) == len(hold)
 
@@ -192,10 +188,8 @@ def test_fit_and_validate_rows_match_fresh_simulation(flip_summary):
     chain, summ = flip_summary
     train = tail_grid([64, 128], 3, chain.sup_norm)
     hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
-    fit = fit_constants(chain, train, 1000, seed=41, summary=summ,
-                        sigma2=summ.sigma2)
-    _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ,
-                                 sigma2=summ.sigma2)
+    fit = fit_constants(chain, train, 1000, seed=41, summary=summ)
+    _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ)
     for grid, got, seed in ((train, fit.rows, 41), (hold, rows, 42)):
         assert len(got) == len(grid)
         for (n, x), row in zip(grid, got):
@@ -216,12 +210,11 @@ def test_one_simulation_per_distinct_n(monkeypatch, flip_summary):
     monkeypatch.setattr(experiments, "path_statistics", counting)
     chain, summ = flip_summary
     fit = fit_constants(chain, tail_grid([64, 128], 3, chain.sup_norm), 1000,
-                        seed=1, summary=summ, sigma2=summ.sigma2)
+                        seed=1, summary=summ)
     assert calls == [64, 128]
     calls.clear()
     hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
-    validate_constants(chain, fit, hold, 1000, seed=2, summary=summ,
-                       sigma2=summ.sigma2)
+    validate_constants(chain, fit, hold, 1000, seed=2, summary=summ)
     assert calls == [64, 128]
     calls.clear()
     cob = make_coboundary(chain, [1.0, -1.0])
@@ -235,10 +228,42 @@ def test_fit_constants_degenerate_uses_only_c2(flip_summary):
     cob = make_coboundary(chain, [1.0, -1.0])
     summ = summarize_chain(cob, horizon=16)
     grid = tail_grid([64, 128], 3, cob.sup_norm)
-    fit = fit_constants(cob, grid, 2000, seed=5, summary=summ, sigma2=0.0,
-                        statistic="absmax")
+    fit = fit_constants(cob, grid, 2000, seed=5, summary=summ, statistic="absmax")
     assert fit.c1 == pytest.approx(1e-3)     # pinned at the box minimum
     assert math.isfinite(fit.c2)
+
+
+def test_fit_and_check_rhs_is_the_bound_form(flip_summary):
+    # the fit and the check evaluate fuk_nagaev_rhs itself, to the last bit
+    chain, summ = flip_summary
+    fit = fit_constants(chain, tail_grid([64, 128], 3, chain.sup_norm), 1000,
+                        seed=41, summary=summ)
+    hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
+    _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ)
+    for row in fit.rows + rows:
+        params = params_from_summary(summ, row["n"], row["x"], fit.c1, fit.c2)
+        assert row["rhs"] == fuk_nagaev_rhs(params)
+
+
+def test_divergent_summary_refused(flip_summary):
+    # Theta_2 = inf under a polynomial tail with p_exponent <= 3
+    chain, _ = flip_summary
+    table = ThetaTable(values=np.r_[1.0, np.arange(1, 9) ** -1.5],
+                       tail=TailModel("polynomial", coefficient=1.0, p_exponent=2.5))
+    summ = series_summary(table, sigma2=3.0)
+    assert math.isinf(summ.theta2)
+    grid = tail_grid([64], 2, chain.sup_norm)
+    with pytest.raises(ValueError, match="divergent"):
+        fit_constants(chain, grid, 200, seed=1, summary=summ)
+    with pytest.raises(ValueError, match="divergent"):
+        validate_constants(chain, ConstantsFit(c1=1.0, c2=1.0), grid, 200, seed=1,
+                           summary=summ)
+
+
+def test_summary_without_sigma2_refused():
+    summ = series_summary(ThetaTable(values=0.5 ** np.arange(9), tail=TailModel("zero")))
+    with pytest.raises(ValueError, match="no sigma2"):
+        params_from_summary(summ, 64, 20.0)
 
 
 def test_fit_constants_box_failure(flip_summary):
@@ -246,7 +271,7 @@ def test_fit_constants_box_failure(flip_summary):
     grid = tail_grid([128], 2, chain.sup_norm)
     with pytest.raises(ValueError, match="search box"):
         fit_constants(chain, grid, 2000, seed=3, summary=summ,
-                      sigma2=summ.sigma2, search_box=(1e-9, 1e-8))
+                      search_box=(1e-9, 1e-8))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import weakdep
-from weakdep.cli import BOUND_KEYS, COUPLE_KEYS, main
+from weakdep.cli import CONFIG_DEFAULTS, main
 from weakdep.experiments import check_config_keys
 from weakdep.rng import holdout_seed
 
@@ -96,6 +97,8 @@ def test_couple_run(tmp_path, chain_doc):
 @pytest.mark.parametrize("command, doc, typo", [
     (["couple", "run"], {"n": 256, "seed": 5, "varient": "inflated"}, "varient"),
     (["bound", "fit"], {"grid_n": [64], "replicate": 100}, "replicate"),
+    (["coeffs"], {"horizon": 4}, "horizon"),
+    (["export-path"], {"seed": 4, "n": 32}, "n"),
 ])
 def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
     cfg = write_config(tmp_path, {"process": chain_doc, **doc})
@@ -106,8 +109,22 @@ def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name, allowed", [("bound_flip", BOUND_KEYS),
-                                           ("couple_flip", COUPLE_KEYS)])
+def test_shipped_configs_match_generator():
+    spec = importlib.util.spec_from_file_location("make_configs",
+                                                  CONFIGS.parent / "make_configs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    docs = module.CONFIGS
+    assert sorted(docs) == sorted(path.name for path in CONFIGS.iterdir())
+    for name, doc in docs.items():
+        assert (CONFIGS / name).read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# the experiment configs are checked in test_experiments
+@pytest.mark.parametrize("name, allowed", [
+    (name, ("process", *CONFIG_DEFAULTS[command]))
+    for name, command in [("bound_flip", "bound"), ("couple_flip", "couple"),
+                          ("coeffs_flip", "coeffs")]])
 def test_shipped_cli_configs_load(name, allowed):
     check_config_keys(json.loads((CONFIGS / f"{name}.json").read_text()), allowed)
 

@@ -13,11 +13,12 @@ from weakdep import (BlockDist, block_sum_dist, build_coupling, coupling_errors,
                      sigma2_exact, skorohod_split, w2_conditional)
 from weakdep.coupling import (VARIANTS, BudgetExceededError, _conditional_quantile,
                               _couple_path, block_coupling_second_moment,
-                              block_sum_dist_exact, gaussian_quantile)
+                              gaussian_quantile)
 from weakdep.processes import sample_chain_paths
 from weakdep.rng import substream
 
-from _oracles import block_dist_brute, couple_path_loop, random_lattice_chain
+from _oracles import (block_dist_brute, block_sum_dist_exact, couple_path_loop,
+                      random_lattice_chain)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import (build_finite_chain, flip_chain, lsv_iterate,
-                     make_coboundary, normalize_process, sample_path,
-                     sigma2_exact, symmetrize)
+from weakdep import (build_finite_chain, flip_chain, make_coboundary,
+                     normalize_process, sample_path, sigma2_exact, symmetrize)
 from weakdep.bounds import _chain_running_stats
 from weakdep.processes import (LsvObservable, LsvProcess,
-                               _chain_states_from_uniforms, lsv_reference_mean,
-                               path_to_csv, process_from_config,
-                               process_to_config, sample_lsv_ensemble)
+                               _chain_states_from_uniforms, lsv_map,
+                               lsv_reference_mean, path_to_csv,
+                               process_from_config, process_to_config,
+                               sample_lsv_ensemble)
 
 from _oracles import chain_states_loop, random_lattice_chain
 
@@ -115,33 +115,47 @@ def test_build_invariants_random_two_state(ia, ib, k0, k1):
 # LSV map
 # ---------------------------------------------------------------------------
 
+def lsv_orbit(gamma, x0, n):
+    x = np.array([x0])
+    orbit = [x0]
+    for _ in range(n):
+        x = lsv_map(gamma, x)
+        orbit.append(float(x[0]))
+    return np.array(orbit)
+
+
 def test_lsv_fixed_point_at_zero():
-    assert np.all(lsv_iterate(0.4, 0.0, 10) == 0.0)
+    assert np.all(lsv_orbit(0.4, 0.0, 10) == 0.0)
 
 
 def test_lsv_right_branch():
-    orbit = lsv_iterate(0.3, 0.75, 1)
-    assert orbit[1] == pytest.approx(0.5, abs=1e-15)
+    assert lsv_map(0.3, 0.75) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_lsv_left_branch_value():
-    orbit = lsv_iterate(0.5, 0.25, 1)
-    assert orbit[1] == pytest.approx(0.25 * (1 + math.sqrt(2) * 0.5), abs=1e-12)
+    assert lsv_map(0.5, 0.25) == pytest.approx(0.25 * (1 + math.sqrt(2) * 0.5), abs=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=50)
 def test_lsv_orbit_stays_in_unit_interval(x0, gamma):
-    orbit = lsv_iterate(gamma, x0, 50)
+    orbit = lsv_orbit(gamma, x0, 50)
     assert np.all(orbit >= 0.0) and np.all(orbit <= 1.0)
 
 
 def test_lsv_gamma_validation():
-    with pytest.raises(ValueError):
-        lsv_iterate(1.2, 0.5, 3)
-    with pytest.raises(ValueError):
-        LsvProcess(gamma=0.0, observable=LsvObservable("identity", 0.5))
+    for gamma in (0.0, 1.2):
+        with pytest.raises(ValueError, match="gamma"):
+            LsvProcess(gamma=gamma, observable=LsvObservable("identity", 0.5))
+    with pytest.raises(ValueError, match="gamma"):
+        lsv_reference_mean(1.2, total_iterations=1000)
+
+
+def test_lsv_reference_mean_short_run_pinned():
+    # the value of the former stand-alone orbit loop on the same draws
+    assert lsv_reference_mean(0.375, 10 ** 5, seed=0) == pytest.approx(
+        0.4290506364335108, abs=1e-12)
 
 
 @pytest.mark.slow
