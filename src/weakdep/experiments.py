@@ -23,10 +23,13 @@ from .processes import (FiniteChain, LsvProcess, lsv_running_stats,
 
 
 def check_config_keys(doc: dict, allowed) -> None:
-    """Refuse a config document with keys outside `allowed`, naming them all."""
+    """Refuse a config document with keys outside `allowed`, naming them all,
+    or without the "process" key every config document needs."""
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    if "process" not in doc:
+        raise ValueError('config needs a "process" key')
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -71,6 +71,32 @@ def theta_brute(chain, p, q, k, horizon):
     return best
 
 
+def theta_exact_loop(chain, p, q, k, tuple_horizon):
+    """Reference theta(k): enumerate every index tuple in [k, k + T] and every
+    positive exponent vector again for each lag, one matrix-vector product
+    per tuple.  The pattern-table kernel must reproduce it bit for bit."""
+    f = chain.observable
+    pi = chain.stationary
+    powers = [np.eye(chain.n_states)]
+    for _ in range(k + tuple_horizon):
+        powers.append(powers[-1] @ chain.transition)
+    f_pows = [None] + [f ** a for a in range(1, q + 1)]
+    best = 0.0
+    for r in range(1, min(p, q) + 1):
+        for indices in combinations(range(k, k + tuple_horizon + 1), r):
+            for b in _positive_vectors(r, q):
+                h = f_pows[b[r - 1]]
+                for i in range(r - 1, 0, -1):
+                    gap = indices[i] - indices[i - 1]
+                    h = f_pows[b[i - 1]] * (powers[gap] @ h)
+                h = powers[indices[0]] @ h
+                mu = float(pi @ h)
+                val = float(pi @ np.abs(h - mu))
+                if val > best:
+                    best = val
+    return best
+
+
 def srw_max_tail_dp(n, x):
     """P(max_{0<=k<=n} S_k >= x) for the simple +-1 walk, survival DP.
 

@@ -109,6 +109,17 @@ def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["coeffs"], ["rates"]])
+def test_config_without_process_rejected(tmp_path, command):
+    cfg = write_config(tmp_path, {})
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, command + ["--config", cfg, "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ValueError)
+    assert str(result.exception) == 'config needs a "process" key'
+    assert not out.exists()
+
+
 def test_shipped_configs_match_generator():
     spec = importlib.util.spec_from_file_location("make_configs",
                                                   CONFIGS.parent / "make_configs.py")

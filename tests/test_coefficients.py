@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakdep import (TailModel, ThetaTable, build_finite_chain,
                      degenerate_moment_bound, flip_chain, make_coboundary,
                      normalize_process, series_summary, sigma2_exact,
-                     symmetrization_check, theta_exact)
+                     symmetrization_check, symmetrize, theta_exact)
 from weakdep.coefficients import (BudgetExceededError, alpha_inf4_exact,
                                   certified_contraction, partial_sum_variance,
                                   sigma2_certified, sigma2_extrapolated,
@@ -16,7 +16,7 @@ from weakdep.coefficients import (BudgetExceededError, alpha_inf4_exact,
                                   theta_truncation_bound)
 
 from _oracles import (alpha_brute_two_state, covariance_series_partial,
-                      theta_brute)
+                      random_lattice_chain, theta_brute, theta_exact_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,55 @@ def test_theta_truncation_bound(flip25):
 def test_theta_budget_guard(flip25):
     with pytest.raises(BudgetExceededError, match="tuple budget"):
         theta_exact(flip25, 4, 4, 0, tuple_horizon=400)
+
+
+def test_theta_table_budget_guard(flip25):
+    with pytest.raises(BudgetExceededError, match="tuple budget"):
+        theta_table_from_chain(flip25, 4, 4, 2, TailModel("zero"), tuple_horizon=400)
+
+
+# (states, symmetrized): S <= 9 after symmetrization
+CHAIN_SHAPES = st.one_of(st.tuples(st.integers(1, 9), st.just(False)),
+                         st.tuples(st.integers(1, 3), st.just(True)))
+
+
+@given(CHAIN_SHAPES, st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 8), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_theta_table_matches_per_lag_loop(shape, seed, p, q, horizon, tuple_horizon):
+    # The pattern-table kernel against the per-lag enumeration it replaced:
+    # identical bits for the table and for every single lag.
+    n_states, symmetrized = shape
+    chain = random_lattice_chain(np.random.default_rng(seed), n_states)
+    if symmetrized:
+        try:
+            chain = symmetrize(chain)
+        except ValueError:  # the product chain has several closed classes
+            assume(False)
+    want = [theta_exact_loop(chain, p, q, k, tuple_horizon) for k in range(horizon + 1)]
+    table = theta_table_from_chain(chain, p, q, horizon, TailModel("zero"),
+                                   tuple_horizon=tuple_horizon)
+    assert table.values.tobytes() == np.minimum.accumulate(want).tobytes()
+    for k, value in enumerate(want):
+        assert np.float64(theta_exact(chain, p, q, k, tuple_horizon)).tobytes() == \
+            np.float64(value).tobytes()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_stacked_products_match_per_row_products(seed):
+    # The theta kernel relies on these two numpy identities for its bits:
+    # a stacked (K, S, S) @ h is one gemv per slice, and vecdot over rows is
+    # one ddot per row.
+    rng = np.random.default_rng(seed)
+    s, k = int(rng.integers(1, 10)), int(rng.integers(1, 30))
+    mats = [rng.random((s, s)) for _ in range(k)]
+    h, pi = rng.standard_normal(s), rng.random(s)
+    stacked = np.stack(mats) @ h
+    assert stacked.tobytes() == np.stack([m @ h for m in mats]).tobytes()
+    rows = [row.copy() for row in stacked]
+    assert np.vecdot(stacked, pi).tobytes() == \
+        np.array([float(pi @ row) for row in rows]).tobytes()
 
 
 def test_theta_cap_after_normalization(flip25):
