@@ -157,7 +157,7 @@ def path_statistics(process, n: int, replicates: int, seed: int) -> TailSample:
         job = lambda reps: _chain_running_stats(process, path_uniforms(seed, n, reps))
         step = process.step
     elif isinstance(process, LsvProcess):
-        job = lambda reps: lsv_running_stats(process, n, seed, reps)
+        job = lambda reps: lsv_running_stats(process, [n], seed, reps)[0]
         step = None
     else:
         raise TypeError(f"unsupported process type {type(process).__name__}")

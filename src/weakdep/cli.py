@@ -92,7 +92,7 @@ def coeffs(config_path, out_dir, p, q, horizon):
     coef.theta_table_to_csv(table, os.path.join(out_dir, "theta_table.csv"))
     rows = [{"k": k, "value": float(v)} for k, v in enumerate(table.values)]
     emit_report({
-        "config": {"process": doc, "p": p, "q": q, "horizon": horizon},
+        "config": {"process": doc["process"], "p": p, "q": q, "horizon": horizon},
         "summary": {"sigma2": sigma2, "theta1": summary.theta1,
                     "theta2": summary.theta2, "tail_rate": table.tail.rate,
                     "truncation_bound": coef.theta_truncation_bound(process, p, 12)},

@@ -93,6 +93,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         check_config_keys(doc, cls.__dataclass_fields__)
+        if "n_list" not in doc:
+            raise ValueError('config needs an "n_list" key')
         kw = dict(doc)
         kw["process"] = process_from_config(doc["process"])
         if "surrogate" in doc and doc["surrogate"] is not None:
@@ -263,9 +265,9 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
 
     sup_l2 = []
     rows = []
-    for n in config.n_list:
-        _, smax, smin = lsv_running_stats(process, n, config.seed,
-                                          range(config.replicates))
+    ladder = lsv_running_stats(process, config.n_list, config.seed,
+                               range(config.replicates))
+    for n, (_, smax, smin) in zip(config.n_list, ladder):
         level = math.sqrt(float(np.mean(np.maximum(smax, -smin) ** 2)))
         sup_l2.append(level)
         rows.append({"n": int(n), "sup_l2": level})

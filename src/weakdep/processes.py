@@ -241,17 +241,36 @@ def normalize_process(chain: FiniteChain) -> FiniteChain:
 # LSV intermittent map
 # ---------------------------------------------------------------------------
 
-def lsv_map(gamma: float, x: np.ndarray) -> np.ndarray:
-    """One application of the intermittent interval map, vectorized.
+def _lsv_scratch(shape) -> tuple:
+    """Scratch arrays (left branch, right branch, branch mask) for _lsv_step."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
-    The single source of truth for the map arithmetic: scalar and ensemble
-    sampling both route through it, so replicate paths are bit-identical
-    whichever API produced them.
+
+def _lsv_step(gamma: float, x: np.ndarray, scratch: tuple) -> None:
+    """Apply the intermittent map to the float array x in place.
+
+    The single copy of the map arithmetic: x(1 + 2^g x^g) below 1/2, 2x - 1
+    from 1/2 on, clipped to [0, 1].  `scratch` is _lsv_scratch(x.shape); no
+    array is allocated, which is most of a step's cost on short orbit arrays.
     """
-    x = np.asarray(x, dtype=float)
-    left = x * (1.0 + (2.0 ** gamma) * np.power(x, gamma))
-    out = np.where(x < 0.5, left, 2.0 * x - 1.0)
-    return np.clip(out, 0.0, 1.0)
+    left, right, mask = scratch
+    np.power(x, gamma, out=left)
+    left *= 2.0 ** gamma
+    left += 1.0
+    left *= x
+    np.greater_equal(x, 0.5, out=mask)
+    np.multiply(x, 2.0, out=right)
+    right -= 1.0
+    np.putmask(left, mask, right)
+    left.clip(0.0, 1.0, out=x)
+
+
+def lsv_map(gamma: float, x: np.ndarray) -> np.ndarray:
+    """One application of the intermittent interval map, vectorized: a copy
+    of x stepped by _lsv_step."""
+    x = np.array(x, dtype=float)
+    _lsv_step(gamma, x, _lsv_scratch(x.shape))
+    return x
 
 
 @dataclass(frozen=True)
@@ -310,7 +329,8 @@ def lsv_reference_mean(gamma: float, total_iterations: int = 10**7, seed: int = 
     process = LsvProcess(gamma=gamma, observable=LsvObservable("identity", 0.0),
                          burn_in=per_orbit // 10)
     x = path_stream(seed, per_orbit, 0).random(orbits)
-    blocks = _lsv_value_blocks(process, x, per_orbit, LSV_BLOCK_STEPS)
+    blocks = _lsv_value_blocks(process, x, [per_orbit] * orbits,
+                               orbits * LSV_BLOCK_STEPS)
     return sum(float(block.sum()) for block in blocks) / (per_orbit * orbits)
 
 
@@ -421,51 +441,89 @@ def sample_path(process, n: int, seed: int, replicate: int = 0) -> SamplePath:
     raise TypeError(f"unsupported process type {type(process).__name__}")
 
 
-def _lsv_value_blocks(process: LsvProcess, x: np.ndarray, n: int, width: int):
-    """Observable values X_1..X_n of the orbits started at x, after the
-    process burn-in, lockstep across orbits, yielded as (r, width) time blocks
-    (the last may be narrower).  The one LSV orbit loop."""
+def _lsv_value_blocks(process: LsvProcess, x: np.ndarray, lengths: Sequence[int],
+                      budget: int):
+    """Observable values of the orbits started at x, after the process
+    burn-in, stepped in lockstep; row i runs for lengths[i] steps.  The one
+    LSV orbit loop.
+
+    Lengths must be nonincreasing, so the orbits still running always form a
+    prefix of the rows.  One burn-in serves every row; then each time block
+    is an (active rows, width) array of X_{t+1}..X_{t+width}.  A block stops
+    where the next row finishes, and its width is budget // active rows (at
+    least 1), so a block holds at most max(budget, active rows) values.
+    """
+    x = np.array(x, dtype=float)
+    lengths = np.asarray(lengths)
+    if np.any(np.diff(lengths) > 0):
+        raise ValueError("orbit lengths must be nonincreasing")
+    scratch = _lsv_scratch(len(x))
     for _ in range(process.burn_in):
-        x = lsv_map(process.gamma, x)
-    for start in range(0, n, width):
-        orbit = np.empty((len(x), min(width, n - start)))
-        for k in range(orbit.shape[1]):
-            x = lsv_map(process.gamma, x)
-            orbit[:, k] = x
+        _lsv_step(process.gamma, x, scratch)
+    t = 0
+    while rows := int(np.count_nonzero(lengths > t)):
+        stop = min(int(lengths[rows - 1]), t + max(1, budget // rows))
+        head, head_scratch = x[:rows], tuple(a[:rows] for a in scratch)
+        orbit = np.empty((rows, stop - t))
+        for k in range(stop - t):
+            _lsv_step(process.gamma, head, head_scratch)
+            orbit[:, k] = head
         yield process.observable(orbit)
+        t = stop
 
 
-def _lsv_replicate_blocks(process: LsvProcess, n: int, seed: int,
-                          replicates: Sequence[int]):
-    """Value blocks of the replicate orbits; replicate rep starts at the first
-    draw of its path stream."""
-    x = np.array([float(path_stream(seed, n, rep).random()) for rep in replicates])
-    return _lsv_value_blocks(process, x, n, LSV_BLOCK_STEPS)
+def _lsv_ladder_blocks(process: LsvProcess, n_list: Sequence[int], seed: int,
+                       replicates: Sequence[int]):
+    """(order, blocks): one orbit per (n, replicate), rows grouped by n in
+    `order`, the positions of n_list by decreasing n, and replicates in their
+    given order within a group.  The orbit of replicate rep at length n starts
+    at the first draw of path_stream(seed, n, rep).  The block budget is
+    len(replicates) x LSV_BLOCK_STEPS values, so a single n gets blocks of
+    LSV_BLOCK_STEPS steps."""
+    order = sorted(range(len(n_list)), key=lambda i: -n_list[i])
+    x = np.array([float(path_stream(seed, n_list[i], rep).random())
+                  for i in order for rep in replicates])
+    lengths = np.repeat([n_list[i] for i in order], len(replicates))
+    return order, _lsv_value_blocks(process, x, lengths,
+                                    len(replicates) * LSV_BLOCK_STEPS)
 
 
 def sample_lsv_ensemble(process: LsvProcess, n: int, seed: int,
                         replicates: Sequence[int]) -> np.ndarray:
     """Observable values (r, n) for LSV orbits, lockstep across replicates."""
-    blocks = _lsv_replicate_blocks(process, n, seed, replicates)
+    _, blocks = _lsv_ladder_blocks(process, [n], seed, replicates)
     return np.concatenate([np.empty((len(replicates), 0)), *blocks], axis=1)
 
 
-def lsv_running_stats(process: LsvProcess, n: int, seed: int,
-                      replicates: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lsv_running_stats(process: LsvProcess, n_list: Sequence[int], seed: int,
+                      replicates: Sequence[int]
+                      ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(S_n, max_k S_k, min_k S_k) of the replicate orbits, S_0 = 0 included,
-    in r x LSV_BLOCK_STEPS memory.  Each block's first column takes the running
-    sum before the cumsum, so S_k is added in the order of a whole-orbit cumsum.
+    one triple per n of n_list.
+
+    The whole ladder is one lockstep ensemble (_lsv_ladder_blocks): one
+    burn-in, then only the orbits still running are stepped, in blocks of at
+    most len(replicates) x LSV_BLOCK_STEPS values.  Each block's first column
+    takes the running sum before the cumsum, so S_k is added in the order of a
+    whole-orbit cumsum and each triple equals that of a separate run at its n.
     """
-    s = np.zeros(len(replicates))
-    smax = np.zeros(len(replicates))
-    smin = np.zeros(len(replicates))
-    for values in _lsv_replicate_blocks(process, n, seed, replicates):
-        values[:, 0] += s
+    r = len(replicates)
+    order, blocks = _lsv_ladder_blocks(process, n_list, seed, replicates)
+    s = np.zeros(r * len(order))
+    smax = np.zeros(r * len(order))
+    smin = np.zeros(r * len(order))
+    for values in blocks:
+        rows = len(values)
+        values[:, 0] += s[:rows]
         sums = np.cumsum(values, axis=1)
-        s = sums[:, -1]
-        np.maximum(smax, sums.max(axis=1), out=smax)
-        np.minimum(smin, sums.min(axis=1), out=smin)
-    return s, smax, smin
+        s[:rows] = sums[:, -1]
+        np.maximum(smax[:rows], sums.max(axis=1), out=smax[:rows])
+        np.minimum(smin[:rows], sums.min(axis=1), out=smin[:rows])
+    stats = [None] * len(order)
+    for group, i in enumerate(order):
+        rows = slice(group * r, (group + 1) * r)
+        stats[i] = (s[rows], smax[rows], smin[rows])
+    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Everything here avoids the library's computational paths: conditional
 expectations by explicit path enumeration, tail probabilities by survival
 dynamic programming (cross-checked against the reflection identity), event
 suprema by full subset enumeration, block laws in rational arithmetic.
-Reference kernels (the chain stepper
-and the coupling loop) keep the loops that faster kernels replaced, and
+Reference kernels (the chain stepper, the coupling loop, the LSV map and its
+per-n orbit loop) keep the loops that faster kernels replaced, and
 ``random_lattice_chain`` draws the chains they are compared on.
 """
 
@@ -20,7 +20,7 @@ from scipy.stats import binom
 from weakdep.coefficients import BudgetExceededError
 from weakdep.coupling import block_sum_dist, skorohod_split
 from weakdep.processes import FiniteChain
-from weakdep.rng import block_stream
+from weakdep.rng import block_stream, path_stream
 
 
 def _positive_vectors(r, q):
@@ -225,6 +225,33 @@ def chain_states_loop(chain, u):
         rows = cum_rows[states[:, j - 1]]
         states[:, j] = np.minimum((u[:, j][:, None] > rows).sum(axis=1), last)
     return states
+
+
+def lsv_map_expr(gamma, x):
+    """The intermittent map as three array expressions."""
+    x = np.asarray(x, dtype=float)
+    left = x * (1.0 + (2.0 ** gamma) * np.power(x, gamma))
+    out = np.where(x < 0.5, left, 2.0 * x - 1.0)
+    return np.clip(out, 0.0, 1.0)
+
+
+def lsv_running_stats_per_n(process, n_list, seed, replicates):
+    """(S_n, max_k S_k, min_k S_k) per n, each n a separate orbit ensemble:
+    its own start draws and burn-in, then a whole-orbit cumsum."""
+    stats = []
+    for n in n_list:
+        x = np.array([float(path_stream(seed, n, rep).random()) for rep in replicates])
+        for _ in range(process.burn_in):
+            x = lsv_map_expr(process.gamma, x)
+        orbit = np.empty((len(x), n))
+        for k in range(n):
+            x = lsv_map_expr(process.gamma, x)
+            orbit[:, k] = x
+        sums = np.cumsum(process.observable(orbit), axis=1)
+        zeros = np.zeros(len(x))
+        stats.append((sums[:, -1], np.maximum(zeros, sums.max(axis=1)),
+                      np.minimum(zeros, sums.min(axis=1))))
+    return stats
 
 
 def couple_path_loop(chain, schedule, sigma2, states, vals_int, seed, replicate):

@@ -42,6 +42,25 @@ def test_coeffs_command(tmp_path, chain_doc):
     assert (out / "theta.csv").exists()
 
 
+def test_coeffs_echoes_the_process(tmp_path, chain_doc):
+    cfg = write_config(tmp_path, {"process": chain_doc})
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["coeffs", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config == {"process": chain_doc, "p": 4, "q": 4, "horizon": 16}
+
+
+def test_rates_config_without_n_list_rejected(tmp_path, chain_doc):
+    cfg = write_config(tmp_path, {"process": chain_doc})
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["rates", "--config", cfg, "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ValueError)
+    assert str(result.exception) == 'config needs an "n_list" key'
+    assert not out.exists()
+
+
 def test_bound_fit_and_check(tmp_path, chain_doc):
     cfg = write_config(tmp_path, {
         "process": chain_doc, "grid_n": [64, 128], "points_per_n": 2,

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakdep import (build_finite_chain, flip_chain, make_coboundary,
-                     normalize_process, sample_path, sigma2_exact, symmetrize)
+                     normalize_process, processes, sample_path, sigma2_exact,
+                     symmetrize)
 from weakdep.bounds import _chain_running_stats
 from weakdep.processes import (LsvObservable, LsvProcess,
                                _chain_states_from_uniforms, lsv_map,
-                               lsv_reference_mean, path_to_csv,
+                               lsv_reference_mean, lsv_running_stats, path_to_csv,
                                process_from_config, process_to_config,
                                sample_lsv_ensemble)
 
-from _oracles import chain_states_loop, random_lattice_chain
+from _oracles import (chain_states_loop, lsv_map_expr, lsv_running_stats_per_n,
+                      random_lattice_chain)
 
 
 def test_flip_chain_stationary_and_sup_norm():
@@ -142,6 +144,93 @@ def test_lsv_left_branch_value():
 def test_lsv_orbit_stays_in_unit_interval(x0, gamma):
     orbit = lsv_orbit(gamma, x0, 50)
     assert np.all(orbit >= 0.0) and np.all(orbit <= 1.0)
+
+
+@given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60)
+def test_lsv_step_matches_expression_map(gamma, size, seed):
+    x = np.random.default_rng(seed).random(size)
+    x[: min(size, 5)] = [0.0, 5e-324, np.nextafter(0.5, 0.0), 0.5, 1.0][: min(size, 5)]
+    x = np.random.default_rng(seed + 1).permutation(x)
+    assert lsv_map(gamma, x).tobytes() == lsv_map_expr(gamma, x).tobytes()
+    for x0 in (0.0, 5e-324, np.nextafter(0.5, 0.0), 0.5, 1.0):
+        assert lsv_map(gamma, x0).tobytes() == lsv_map_expr(gamma, x0).tobytes()
+
+
+@given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=50),
+       st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5,
+                unique=True).map(sorted),
+       st.integers(min_value=0, max_value=100),
+       st.integers(min_value=1, max_value=20),
+       st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_lsv_ladder_matches_per_n_loop(gamma, center, burn_in, n_list, first_rep,
+                                       reps, block_steps, seed):
+    # Small blocks put block edges and prefix shrinks at many steps.
+    process = LsvProcess(gamma=gamma, observable=LsvObservable("identity", center),
+                         burn_in=burn_in)
+    replicates = range(first_rep, first_rep + reps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(processes, "LSV_BLOCK_STEPS", block_steps)
+        ladder = lsv_running_stats(process, n_list, seed, replicates)
+    oracle = lsv_running_stats_per_n(process, n_list, seed, replicates)
+    assert len(ladder) == len(n_list)
+    for got, want in zip(ladder, oracle):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def _block_shapes(monkeypatch):
+    """Record the shape of every block the LSV orbit loop yields."""
+    shapes = []
+    loop = processes._lsv_value_blocks
+
+    def recorded(*args):
+        for block in loop(*args):
+            shapes.append(block.shape)
+            yield block
+
+    monkeypatch.setattr(processes, "_lsv_value_blocks", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("block_steps, n_list, reps", [
+    (7, [20, 40, 80], 16), (2, [3, 5], 2),
+    (processes.LSV_BLOCK_STEPS, [3000, 6000, 9000], 2)])
+def test_lsv_ladder_blocks_within_budget(monkeypatch, block_steps, n_list, reps):
+    monkeypatch.setattr(processes, "LSV_BLOCK_STEPS", block_steps)
+    shapes = _block_shapes(monkeypatch)
+    process = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),
+                         burn_in=20)
+    lsv_running_stats(process, n_list, 5, range(reps))
+    assert all(rows * width <= reps * block_steps for rows, width in shapes)
+    # Row i (longest orbits first) appears in exactly its orbit length of steps.
+    lengths = np.repeat(sorted(n_list, reverse=True), reps)
+    for i, n in enumerate(lengths):
+        assert sum(width for rows, width in shapes if rows > i) == n
+
+
+@pytest.mark.parametrize("block_steps", [7, processes.LSV_BLOCK_STEPS])
+def test_lsv_single_n_blocks_span_block_steps(monkeypatch, block_steps):
+    monkeypatch.setattr(processes, "LSV_BLOCK_STEPS", block_steps)
+    shapes = _block_shapes(monkeypatch)
+    process = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),
+                         burn_in=20)
+    n = 2 * block_steps + 3
+    lsv_running_stats(process, [n], 5, range(3))
+    assert shapes == [(3, block_steps), (3, block_steps), (3, 3)]
+
+
+def test_lsv_value_blocks_refuse_increasing_lengths():
+    process = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),
+                         burn_in=0)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        next(processes._lsv_value_blocks(process, [0.2, 0.7], [3, 5], 8))
 
 
 def test_lsv_gamma_validation():
