@@ -5,6 +5,10 @@ Subcommands: ``coeffs``, ``bound fit``, ``bound check``, ``couple run``,
 ``--config <file>`` (JSON, see README for the schema) and ``--out``; all but
 ``coeffs``, which has no randomness, also take ``--seed``.  Outputs land in
 the chosen directory as CSV / JSON / .dat files.
+
+Every command reads its config through :func:`_read_config`, which checks
+the keys against the command's table in ``CONFIG_DEFAULTS``, and its
+``summary.json`` echoes the settings as run (:func:`_emit`).
 """
 
 from __future__ import annotations
@@ -18,43 +22,75 @@ import click
 from . import bounds as bnd
 from . import coefficients as coef
 from . import coupling as cpl
-from .experiments import ExperimentConfig, check_config_keys, donsker_wasserstein, \
-    run_degenerate_suite, run_lsv_experiment, run_rate_experiment
-from .processes import FiniteChain, LsvProcess, process_from_config, sample_path
+from .experiments import ExperimentConfig, donsker_wasserstein, run_degenerate_suite, \
+    run_lsv_experiment, run_rate_experiment
+from .processes import FiniteChain, LsvProcess, process_from_config, process_to_config, \
+    refuse_unknown_keys, sample_path
 from .reporting import emit_report, write_table_csv
 from .rng import holdout_seed
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _experiment_keys(*names) -> dict:
+    """The named ExperimentConfig fields with their defaults."""
+    fields = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    return {name: fields[name] for name in names}
 
 
-# Per command: the config keys allowed besides "process", with their defaults.
+_RATE_KEYS = ("n_list", "replicates", "seed", "variant", "p", "epsilon", "c_fit",
+              "tolerance")
+
+# Per config table: the keys allowed besides "process", with their defaults.
+# A key whose default is dataclasses.MISSING (n_list) is required.  `rates`
+# reads "rates-lsv" when its process is an lsv map.
 CONFIG_DEFAULTS = {
     "coeffs": {},
     "bound": {"grid_n": [256, 512, 1024], "points_per_n": 4, "replicates": 20000,
               "seed": 0, "theta_horizon": 16},
-    "couple": {"n": 4096, "seed": 0, "p": 4.0, "variant": "balanced",
-               "epsilon": 0.5, "c_fit": 1.0},
+    "couple": {"n": 4096, **_experiment_keys("seed", "p", "variant", "epsilon", "c_fit")},
     "export-path": {"seed": 0},
+    "rates": _experiment_keys(*_RATE_KEYS),
+    "rates-lsv": _experiment_keys(*(k for k in _RATE_KEYS if k != "p"), "surrogate"),
+    "wasserstein": _experiment_keys(*_RATE_KEYS),
+    "degenerate": _experiment_keys("n_list", "replicates", "seed", "alpha", "series_p",
+                                   "series_epsilon", "moment_q"),
 }
 
 
-def _read_config(path: str, command: str) -> tuple[dict, dict]:
-    """(document, settings) of a command's config: unknown keys are refused,
-    and the settings fill in the command's defaults."""
-    doc = _load_config(path)
+def _read_config(path: str, command: str, seed: int | None = None) -> dict:
+    """The settings a command runs on: the one config reader.
+
+    Loads the JSON file, builds its process documents with
+    process_from_config, refuses keys outside the command's table in
+    CONFIG_DEFAULTS and fills in the table's defaults; `seed` (the --seed
+    option), when given, replaces the config seed.
+    """
+    with open(path) as fh:
+        doc = json.load(fh)
+    if "process" not in doc:
+        raise ValueError('config needs a "process" key')
+    process = process_from_config(doc["process"])
+    if command == "rates" and isinstance(process, LsvProcess):
+        command = "rates-lsv"
     defaults = CONFIG_DEFAULTS[command]
-    check_config_keys(doc, ("process", *defaults))
-    return doc, {**defaults, **doc}
-
-
-def _experiment_config(doc: dict, seed) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_dict(doc)
+    refuse_unknown_keys(doc, ("process", *defaults))
+    settings = {**defaults, **doc, "process": process}
+    for key, value in settings.items():
+        if value is dataclasses.MISSING:
+            raise ValueError(f'config needs an "{key}" key')
+    if settings.get("surrogate") is not None:
+        settings["surrogate"] = process_from_config(settings["surrogate"])
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed))
-    return cfg
+        settings["seed"] = seed
+    return settings
+
+
+def _emit(out_dir: str, settings: dict, summary: dict, tables: dict, **options) -> None:
+    """Write the report of a run.  Its config echo is the one rule for every
+    command: each setting, processes as built, plus the command's own options;
+    a setting that is None (no surrogate) is left out."""
+    config = {key: process_to_config(value) if key in ("process", "surrogate") else value
+              for key, value in {**settings, **options}.items() if value is not None}
+    emit_report({"config": config, "summary": summary, "tables": tables}, out_dir)
 
 
 config_option = click.option("--config", "config_path", required=True,
@@ -81,8 +117,8 @@ def main():
 @click.option("--horizon", type=int, default=16)
 def coeffs(config_path, out_dir, p, q, horizon):
     """Exact dependence coefficients and series summary for a chain config."""
-    doc, _ = _read_config(config_path, "coeffs")
-    process = process_from_config(doc["process"])
+    settings = _read_config(config_path, "coeffs")
+    process = settings["process"]
     if not isinstance(process, FiniteChain):
         raise click.ClickException("coeffs requires a finite_chain process")
     table = coef.certified_theta_table(process, p, q, horizon)
@@ -91,13 +127,11 @@ def coeffs(config_path, out_dir, p, q, horizon):
     os.makedirs(out_dir, exist_ok=True)
     coef.theta_table_to_csv(table, os.path.join(out_dir, "theta_table.csv"))
     rows = [{"k": k, "value": float(v)} for k, v in enumerate(table.values)]
-    emit_report({
-        "config": {"process": doc["process"], "p": p, "q": q, "horizon": horizon},
-        "summary": {"sigma2": sigma2, "theta1": summary.theta1,
-                    "theta2": summary.theta2, "tail_rate": table.tail.rate,
-                    "truncation_bound": coef.theta_truncation_bound(process, p, 12)},
-        "tables": {"theta": rows},
-    }, out_dir)
+    _emit(out_dir, settings,
+          {"sigma2": sigma2, "theta1": summary.theta1, "theta2": summary.theta2,
+           "tail_rate": table.tail.rate,
+           "truncation_bound": coef.theta_truncation_bound(process, p, 12)},
+          {"theta": rows}, p=p, q=q, horizon=horizon)
     click.echo(f"sigma2={sigma2!r} theta1={summary.theta1!r} theta2={summary.theta2!r}")
 
 
@@ -106,28 +140,27 @@ def bound():
     """Tail-bound fitting and dominance checks."""
 
 
-def _bound_setup(cfg, seed):
-    process = process_from_config(cfg["process"])
-    summary = coef.summarize_chain(process, horizon=int(cfg["theta_horizon"]))
-    seed = int(cfg["seed"] if seed is None else seed)
-    return (process, summary, cfg["grid_n"], int(cfg["points_per_n"]),
-            int(cfg["replicates"]), seed)
+def _bound_setup(settings, holdout: bool):
+    """(process, chain summary, tail grid) of a bound config's settings."""
+    process = settings["process"]
+    summary = coef.summarize_chain(process, horizon=int(settings["theta_horizon"]))
+    grid = bnd.tail_grid(settings["grid_n"], int(settings["points_per_n"]),
+                         process.sup_norm, holdout=holdout)
+    return process, summary, grid
 
 
 @bound.command("fit")
 @with_common
 def bound_fit(config_path, seed, out_dir):
     """Fit the two bound constants on the training grid."""
-    doc, cfg = _read_config(config_path, "bound")
-    process, summary, n_values, points, replicates, seed = _bound_setup(cfg, seed)
-    grid = bnd.tail_grid(n_values, points, process.sup_norm, holdout=False)
-    fit = bnd.fit_constants(process, grid, replicates, seed, summary=summary)
-    emit_report({
-        "config": {**doc, "seed": seed},
-        "summary": {"c1": fit.c1, "c2": fit.c2, "sigma2": summary.sigma2,
-                    "binding": fit.binding, "search_box": list(fit.search_box)},
-        "tables": {"training_grid": fit.rows},
-    }, out_dir)
+    settings = _read_config(config_path, "bound", seed)
+    process, summary, grid = _bound_setup(settings, holdout=False)
+    fit = bnd.fit_constants(process, grid, int(settings["replicates"]),
+                            int(settings["seed"]), summary=summary)
+    _emit(out_dir, settings,
+          {"c1": fit.c1, "c2": fit.c2, "sigma2": summary.sigma2,
+           "binding": fit.binding, "search_box": list(fit.search_box)},
+          {"training_grid": fit.rows})
     click.echo(f"c1={fit.c1!r} c2={fit.c2!r}")
 
 
@@ -138,18 +171,14 @@ def bound_fit(config_path, seed, out_dir):
 def bound_check(config_path, seed, out_dir, c1, c2):
     """Check dominance of given constants on the holdout grid.  Without --seed
     it runs on rng.holdout_seed of the config seed, never the training paths."""
-    doc, cfg = _read_config(config_path, "bound")
-    process, summary, n_values, points, replicates, run_seed = _bound_setup(cfg, seed)
-    seed = holdout_seed(run_seed) if seed is None else run_seed
-    grid = bnd.tail_grid(n_values, points, process.sup_norm, holdout=True)
+    settings = _read_config(config_path, "bound", seed)
+    process, summary, grid = _bound_setup(settings, holdout=True)
+    run_seed = holdout_seed(int(settings["seed"])) if seed is None else seed
     fit = bnd.ConstantsFit(c1=c1, c2=c2)
-    ok, rows = bnd.validate_constants(process, fit, grid, replicates, seed,
-                                      summary=summary)
-    emit_report({
-        "config": {**doc, "seed": seed, "c1": c1, "c2": c2},
-        "summary": {"dominates_holdout": ok},
-        "tables": {"holdout_grid": rows},
-    }, out_dir)
+    ok, rows = bnd.validate_constants(process, fit, grid, int(settings["replicates"]),
+                                      run_seed, summary=summary)
+    _emit(out_dir, settings, {"dominates_holdout": ok}, {"holdout_grid": rows},
+          seed=run_seed, c1=c1, c2=c2)
     click.echo(f"dominates_holdout={ok}")
 
 
@@ -162,15 +191,15 @@ def couple():
 @with_common
 def couple_run(config_path, seed, out_dir):
     """Build one coupled path and emit per-level statistics plus the path CSV."""
-    doc, cfg = _read_config(config_path, "couple")
-    process = process_from_config(cfg["process"])
-    n = int(cfg["n"])
-    seed = int(cfg["seed"] if seed is None else seed)
-    c_fit = float(cfg["c_fit"])
-    schedule = cpl.make_schedule(n.bit_length() - 2, float(cfg["p"]), cfg["variant"],
-                                 epsilon=float(cfg["epsilon"]), c_fit=c_fit)
+    settings = _read_config(config_path, "couple", seed)
+    process = settings["process"]
+    n = int(settings["n"])
+    c_fit = float(settings["c_fit"])
+    schedule = cpl.make_schedule(n.bit_length() - 2, float(settings["p"]),
+                                 settings["variant"],
+                                 epsilon=float(settings["epsilon"]), c_fit=c_fit)
     sigma2 = coef.sigma2_exact(process)
-    path = cpl.build_coupling(process, schedule, sigma2, n, seed)
+    path = cpl.build_coupling(process, schedule, sigma2, n, int(settings["seed"]))
     errs = cpl.coupling_errors(path)
     os.makedirs(out_dir, exist_ok=True)
     rows = [{"k": k, "s": float(path.s[k]), "t": float(path.t[k])}
@@ -178,35 +207,21 @@ def couple_run(config_path, seed, out_dir):
     write_table_csv(rows, os.path.join(out_dir, "coupled_path.csv"))
     per_level = {str(row["level"]): {k: row[k] for k in ("m", "d", "d1", "d2")}
                  for row in errs.per_level}
-    emit_report({
-        "config": {**doc, "seed": seed},
-        "summary": {"sup_error": errs.sup_error, "sigma2": sigma2,
-                    "first_step_error": errs.first_step_error,
-                    "per_level": per_level,
-                    "lambdas": [float(v) for v in schedule.lambdas],
-                    "c_fit_note": "thresholds use the fitted stand-in c_fit",
-                    "c_fit": c_fit},
-        "tables": {"levels": list(errs.per_level)},
-    }, out_dir)
+    _emit(out_dir, settings,
+          {"sup_error": errs.sup_error, "sigma2": sigma2,
+           "first_step_error": errs.first_step_error, "per_level": per_level,
+           "lambdas": [float(v) for v in schedule.lambdas],
+           "c_fit_note": "thresholds use the fitted stand-in c_fit", "c_fit": c_fit},
+          {"levels": list(errs.per_level)})
     click.echo(f"sup_error={errs.sup_error!r}")
-
-
-def _emit_rate(report, config, out_dir, extra_summary=None):
-    summary = report.to_dict()
-    if extra_summary:
-        summary.update(extra_summary)
-    emit_report({
-        "config": config.to_dict(),
-        "summary": summary,
-        "tables": {"rates": list(report.rows)},
-    }, out_dir)
 
 
 @main.command()
 @with_common
 def rates(config_path, seed, out_dir):
     """Coupling-error growth exponent against the 1/p target."""
-    cfg = _experiment_config(_load_config(config_path), seed)
+    settings = _read_config(config_path, "rates", seed)
+    cfg = ExperimentConfig(**settings)
     if isinstance(cfg.process, LsvProcess):
         report = run_lsv_experiment(cfg)
         summary = {"gamma": report.gamma, "target": report.target,
@@ -216,12 +231,11 @@ def rates(config_path, seed, out_dir):
         if report.surrogate is not None:
             summary["surrogate"] = report.surrogate.to_dict()
             tables["surrogate"] = list(report.surrogate.rows)
-        emit_report({"config": cfg.to_dict(), "summary": summary,
-                     "tables": tables}, out_dir)
+        _emit(out_dir, settings, summary, tables)
         click.echo(f"target={report.target} direct={report.direct_exponent!r}")
         return
     report = run_rate_experiment(cfg)
-    _emit_rate(report, cfg, out_dir)
+    _emit(out_dir, settings, report.to_dict(), {"rates": list(report.rows)})
     click.echo(f"exponent={report.exponent!r} target={report.target} "
                f"passed={report.passed}")
 
@@ -230,30 +244,28 @@ def rates(config_path, seed, out_dir):
 @with_common
 def wasserstein(config_path, seed, out_dir):
     """Quadratic-cost decay of the rescaled partial-sum line."""
-    cfg = _experiment_config(_load_config(config_path), seed)
-    report = donsker_wasserstein(cfg)
-    _emit_rate(report.estimate, cfg, out_dir,
-               extra_summary={"reference_exponent": report.reference_exponent})
-    click.echo(f"exponent={report.estimate.exponent!r} "
-               f"passed={report.estimate.passed}")
+    settings = _read_config(config_path, "wasserstein", seed)
+    report = donsker_wasserstein(ExperimentConfig(**settings))
+    estimate = report.estimate
+    _emit(out_dir, settings,
+          {**estimate.to_dict(), "reference_exponent": report.reference_exponent},
+          {"rates": list(estimate.rows)})
+    click.echo(f"exponent={estimate.exponent!r} passed={estimate.passed}")
 
 
 @main.command()
 @with_common
 def degenerate(config_path, seed, out_dir):
     """Moment-bound and flat-growth checks for telescoping observables."""
-    cfg = _experiment_config(_load_config(config_path), seed)
-    report = run_degenerate_suite(cfg)
-    emit_report({
-        "config": cfg.to_dict(),
-        "summary": {"passed": report.passed, "sigma2": report.sigma2,
-                    "moment_bound": report.moment["bound"],
-                    "sup_growth": report.sup_growth.to_dict(),
-                    "zero_beyond": report.zero_beyond,
-                    "series_decays": report.series["decays"]},
-        "tables": {"moments": report.moment["rows"],
-                   "series": report.series["rows"]},
-    }, out_dir)
+    settings = _read_config(config_path, "degenerate", seed)
+    report = run_degenerate_suite(ExperimentConfig(**settings))
+    _emit(out_dir, settings,
+          {"passed": report.passed, "sigma2": report.sigma2,
+           "moment_bound": report.moment["bound"],
+           "sup_growth": report.sup_growth.to_dict(),
+           "zero_beyond": report.zero_beyond,
+           "series_decays": report.series["decays"]},
+          {"moments": report.moment["rows"], "series": report.series["rows"]})
     click.echo(f"passed={report.passed}")
 
 
@@ -262,10 +274,8 @@ def degenerate(config_path, seed, out_dir):
 @click.option("--n", type=int, default=1024)
 def export_path(config_path, seed, out_dir, n):
     """Sample one path of a configured process and export it as CSV."""
-    _, cfg = _read_config(config_path, "export-path")
-    process = process_from_config(cfg["process"])
-    seed = int(cfg["seed"] if seed is None else seed)
-    path = sample_path(process, n, seed)
+    settings = _read_config(config_path, "export-path", seed)
+    path = sample_path(settings["process"], n, int(settings["seed"]))
     os.makedirs(out_dir, exist_ok=True)
     from .processes import path_to_csv
     path_to_csv(path, os.path.join(out_dir, "path.csv"))

@@ -18,18 +18,7 @@ import numpy as np
 from .bounds import degenerate_moment_check, path_statistics, series_convergence_check
 from .coefficients import is_degenerate, sigma2_exact
 from .coupling import CouplingSchedule, coupling_errors, make_schedule, _couple_path
-from .processes import (FiniteChain, LsvProcess, lsv_running_stats,
-                        process_from_config, process_to_config, sample_chain_paths)
-
-
-def check_config_keys(doc: dict, allowed) -> None:
-    """Refuse a config document with keys outside `allowed`, naming them all,
-    or without the "process" key every config document needs."""
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    if "process" not in doc:
-        raise ValueError('config needs a "process" key')
+from .processes import FiniteChain, LsvProcess, lsv_running_stats, sample_chain_paths
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -38,7 +27,10 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run: the pipelines' input.
+
+    The CLI builds it from the settings of ``cli._read_config``.
+    """
 
     process: object
     n_list: tuple
@@ -69,38 +61,6 @@ class ExperimentConfig:
     def require_rate_replicates(self):
         if self.replicates < 16:
             raise ValueError("rate experiments need at least 16 replicates")
-
-    def to_dict(self) -> dict:
-        doc = {
-            "process": process_to_config(self.process),
-            "n_list": list(self.n_list),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "variant": self.variant,
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "c_fit": self.c_fit,
-            "tolerance": self.tolerance,
-            "alpha": self.alpha,
-            "series_p": self.series_p,
-            "series_epsilon": self.series_epsilon,
-            "moment_q": self.moment_q,
-        }
-        if self.surrogate is not None:
-            doc["surrogate"] = process_to_config(self.surrogate)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        check_config_keys(doc, cls.__dataclass_fields__)
-        if "n_list" not in doc:
-            raise ValueError('config needs an "n_list" key')
-        kw = dict(doc)
-        kw["process"] = process_from_config(doc["process"])
-        if "surrogate" in doc and doc["surrogate"] is not None:
-            kw["surrogate"] = process_from_config(doc["surrogate"])
-        kw["n_list"] = tuple(int(n) for n in doc["n_list"])
-        return cls(**kw)
 
 
 @dataclass(frozen=True)

@@ -281,13 +281,15 @@ class LsvObservable:
     center: float
     threshold: float = 0.5    # only used by "indicator"
 
+    def __post_init__(self):
+        if self.kind not in ("identity", "indicator"):
+            raise ValueError(f"unknown observable kind {self.kind!r}")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "identity":
             return x - self.center
-        if self.kind == "indicator":
-            return (x >= self.threshold).astype(float) - self.center
-        raise ValueError(f"unknown observable kind {self.kind!r}")
+        return (x >= self.threshold).astype(float) - self.center
 
     @property
     def sup_norm(self) -> float:
@@ -586,13 +588,16 @@ def make_coboundary(chain: FiniteChain, g_values) -> FiniteChain:
 
 def process_to_config(process) -> dict:
     if isinstance(process, FiniteChain):
-        return {
+        doc = {
             "type": "finite_chain",
             "states": [str(s) for s in process.states],
             "transition": [[float(x) for x in row] for row in process.transition],
             "observable": [float(v) for v in process.observable],
             "step": process.step,
         }
+        if process.sup_path_bound is not None:
+            doc["sup_path_bound"] = process.sup_path_bound
+        return doc
     if isinstance(process, LsvProcess):
         return {
             "type": "lsv",
@@ -607,13 +612,28 @@ def process_to_config(process) -> dict:
     raise TypeError(f"unsupported process type {type(process).__name__}")
 
 
+def refuse_unknown_keys(doc: dict, allowed) -> None:
+    """Refuse a config document with keys outside `allowed`, naming them all."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+
+
 def process_from_config(doc: dict):
+    """Build the process a config document describes; unknown keys are refused."""
     kind = doc.get("type")
     if kind == "finite_chain":
-        return build_finite_chain(doc["transition"], doc["observable"],
-                                  float(doc["step"]), states=doc.get("states"))
+        refuse_unknown_keys(doc, ("type", "states", "transition", "observable", "step",
+                                  "sup_path_bound"))
+        chain = build_finite_chain(doc["transition"], doc["observable"],
+                                   float(doc["step"]), states=doc.get("states"))
+        if "sup_path_bound" in doc:
+            chain = replace(chain, sup_path_bound=float(doc["sup_path_bound"]))
+        return chain
     if kind == "lsv":
+        refuse_unknown_keys(doc, ("type", "gamma", "burn_in", "observable"))
         obs = doc["observable"]
+        refuse_unknown_keys(obs, ("kind", "center", "threshold"))
         return LsvProcess(
             gamma=float(doc["gamma"]),
             observable=LsvObservable(kind=obs["kind"], center=float(obs["center"]),

@@ -2,7 +2,9 @@
 
 A result bundle is ``{"config": ..., "summary": ..., "tables": {name: rows}}``.
 Each table lands as a CSV and a gnuplot-ready ``.dat`` file; the summary JSON
-always embeds the full config for auditability.  Floats are written with
+embeds the bundle's config for auditability (every CLI command passes the full
+config as run: each setting with its default filled in, processes as built
+and the command's options).  Floats are written with
 ``repr`` (shortest round-trip), keys are sorted, so reruns with the same seed
 produce byte-identical files.
 """

@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.stats import kstest
 
 from weakdep import (ExperimentConfig, build_finite_chain, donsker_wasserstein,
-                     emit_report, flip_chain, fuk_nagaev_rhs, make_coboundary,
+                     flip_chain, fuk_nagaev_rhs, make_coboundary,
                      make_schedule, run_degenerate_suite, run_rate_experiment,
                      series_summary, sigma2_exact, symmetrization_check,
                      theta_exact)
@@ -25,7 +26,8 @@ from weakdep.coefficients import (TailModel, ThetaTable, sigma2_extrapolated,
                                   summarize_chain)
 from weakdep.coupling import (block_coupling_second_moment, build_coupling,
                               coupling_errors)
-from weakdep.processes import symmetrize
+from weakdep.cli import main
+from weakdep.processes import process_to_config, symmetrize
 
 from _oracles import block_sum_dist_exact, theta_brute
 
@@ -222,35 +224,26 @@ def test_criterion_10_determinism(tmp_path, chain):
     ok = True
     checked = []
 
+    process = process_to_config(chain)
+    docs = {
+        "rates": {"process": process, "n_list": [256, 512, 1024],
+                  "replicates": 16, "seed": SEED + 6},
+        "wasserstein": {"process": process, "n_list": [256, 512],
+                        "replicates": 16, "seed": SEED + 7},
+        "degenerate": {"process": process_to_config(make_coboundary(chain, [1.0, -1.0])),
+                       "n_list": [100, 1000], "replicates": 400, "seed": SEED + 8,
+                       "alpha": 0.5},
+        "bound": {"process": process, "grid_n": [128, 256], "points_per_n": 3,
+                  "replicates": 2000, "seed": SEED + 9, "theta_horizon": 12},
+    }
+
     def emit(out, kind):
-        if kind == "rates":
-            cfg = ExperimentConfig(process=chain, n_list=[256, 512, 1024],
-                                   replicates=16, seed=SEED + 6)
-            rep = run_rate_experiment(cfg)
-            emit_report({"config": cfg.to_dict(), "summary": rep.to_dict(),
-                         "tables": {"rates": list(rep.rows)}}, out)
-        elif kind == "wasserstein":
-            cfg = ExperimentConfig(process=chain, n_list=[256, 512],
-                                   replicates=16, seed=SEED + 7)
-            rep = donsker_wasserstein(cfg).estimate
-            emit_report({"config": cfg.to_dict(), "summary": rep.to_dict(),
-                         "tables": {"rates": list(rep.rows)}}, out)
-        elif kind == "degenerate":
-            cob = make_coboundary(chain, [1.0, -1.0])
-            cfg = ExperimentConfig(process=cob, n_list=[100, 1000],
-                                   replicates=400, seed=SEED + 8, alpha=0.5)
-            rep = run_degenerate_suite(cfg)
-            emit_report({"config": cfg.to_dict(),
-                         "summary": {"passed": rep.passed, "sigma2": rep.sigma2},
-                         "tables": {"moments": rep.moment["rows"],
-                                    "series": rep.series["rows"]}}, out)
-        else:
-            summ = summarize_chain(chain, horizon=12)
-            grid = tail_grid([128, 256], 3, chain.sup_norm)
-            fit = fit_constants(chain, grid, 2000, SEED + 9, summary=summ)
-            emit_report({"config": {"seed": SEED + 9},
-                         "summary": {"c1": fit.c1, "c2": fit.c2},
-                         "tables": {"grid": fit.rows}}, out)
+        config = tmp_path / f"{kind}.json"
+        config.write_text(json.dumps(docs[kind]))
+        command = ["bound", "fit"] if kind == "bound" else [kind]
+        result = CliRunner().invoke(main, [*command, "--config", str(config),
+                                           "--out", out])
+        assert result.exit_code == 0, result.output
 
     for kind in ("rates", "wasserstein", "degenerate", "bound"):
         d1 = tmp_path / f"{kind}_run1"

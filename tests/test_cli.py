@@ -1,6 +1,8 @@
+import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,18 +11,24 @@ import pytest
 from click.testing import CliRunner
 
 import weakdep
-from weakdep.cli import CONFIG_DEFAULTS, main
-from weakdep.experiments import check_config_keys
+from weakdep import flip_chain, make_coboundary
+from weakdep.cli import CONFIG_DEFAULTS, _read_config, main
+from weakdep.processes import process_to_config
 from weakdep.rng import holdout_seed
 
-CONFIGS = Path(__file__).parent.parent / "scripts" / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "scripts" / "configs"
+FLIP = {"type": "finite_chain", "states": ["+", "-"],
+        "transition": [[0.75, 0.25], [0.25, 0.75]],
+        "observable": [1.0, -1.0], "step": 1.0}
+LSV = {"type": "lsv", "gamma": 0.2, "burn_in": 50,
+       "observable": {"kind": "identity", "center": 0.5}}
+COBOUNDARY = process_to_config(make_coboundary(flip_chain(0.25), [1.0, -1.0]))
 
 
 @pytest.fixture()
 def chain_doc():
-    return {"type": "finite_chain", "states": ["+", "-"],
-            "transition": [[0.75, 0.25], [0.25, 0.75]],
-            "observable": [1.0, -1.0], "step": 1.0}
+    return dict(FLIP)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -100,6 +108,17 @@ def test_bound_check_default_seed_differs_from_fit(tmp_path, chain_doc):
     assert used_seed(*check, "--seed", "3") == 3
 
 
+def test_bound_fit_echoes_default_replicates(tmp_path, chain_doc):
+    cfg = write_config(tmp_path, {"process": chain_doc, "grid_n": [32],
+                                  "points_per_n": 1, "theta_horizon": 4})
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["bound", "fit", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["replicates"] == 20000
+    assert config["seed"] == 0
+
+
 def test_couple_run(tmp_path, chain_doc):
     cfg = write_config(tmp_path, {"process": chain_doc, "n": 256, "seed": 5})
     out = tmp_path / "out"
@@ -109,8 +128,10 @@ def test_couple_run(tmp_path, chain_doc):
     lines = (out / "coupled_path.csv").read_text().splitlines()
     assert lines[0] == "k,s,t"
     assert len(lines) == 258
-    summary = json.loads((out / "summary.json").read_text())["summary"]
-    assert summary["sup_error"] > 0
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["summary"]["sup_error"] > 0
+    assert doc["config"]["epsilon"] == 0.5
+    assert doc["config"]["c_fit"] == 1.0
 
 
 @pytest.mark.parametrize("command, doc, typo", [
@@ -118,6 +139,9 @@ def test_couple_run(tmp_path, chain_doc):
     (["bound", "fit"], {"grid_n": [64], "replicate": 100}, "replicate"),
     (["coeffs"], {"horizon": 4}, "horizon"),
     (["export-path"], {"seed": 4, "n": 32}, "n"),
+    (["rates"], {"n_list": [256, 512], "replicate": 32, "threads": 2,
+                 "debug_identity_coupling": False},
+     "debug_identity_coupling, replicate, threads"),
 ])
 def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
     cfg = write_config(tmp_path, {"process": chain_doc, **doc})
@@ -125,6 +149,25 @@ def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
     result = CliRunner().invoke(main, command + ["--config", cfg, "--out", str(out)])
     assert result.exit_code != 0
     assert str(result.exception) == f"unknown config keys: {typo}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc, unread", [
+    ("degenerate", {"process": COBOUNDARY, "tolerance": 0.5}, "tolerance"),
+    ("degenerate", {"process": COBOUNDARY, "variant": "inflated"}, "variant"),
+    ("rates", {"process": FLIP, "surrogate": FLIP}, "surrogate"),
+    ("rates", {"process": FLIP, "moment_q": 3.0}, "moment_q"),
+    ("rates", {"process": LSV, "p": 2.5}, "p"),
+    ("wasserstein", {"process": FLIP, "alpha": 0.5}, "alpha"),
+    ("wasserstein", {"process": FLIP, "moment_q": 3.0}, "moment_q"),
+])
+def test_config_key_not_read_rejected(tmp_path, command, doc, unread):
+    cfg = write_config(tmp_path, {**doc, "n_list": [256, 512], "replicates": 16,
+                                  "seed": 1})
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code != 0
+    assert str(result.exception) == f"unknown config keys: {unread}"
     assert not out.exists()
 
 
@@ -150,13 +193,50 @@ def test_shipped_configs_match_generator():
         assert (CONFIGS / name).read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# the experiment configs are checked in test_experiments
 @pytest.mark.parametrize("name, allowed", [
-    (name, ("process", *CONFIG_DEFAULTS[command]))
-    for name, command in [("bound_flip", "bound"), ("couple_flip", "couple"),
-                          ("coeffs_flip", "coeffs")]])
+    (name, {"process", *CONFIG_DEFAULTS[table]})
+    for name, table in [("bound_flip", "bound"), ("couple_flip", "couple"),
+                        ("coeffs_flip", "coeffs"), ("rates_flip", "rates"),
+                        ("rates_lsv", "rates-lsv"), ("wasserstein_flip", "wasserstein"),
+                        ("degenerate_flip", "degenerate")]])
 def test_shipped_cli_configs_load(name, allowed):
-    check_config_keys(json.loads((CONFIGS / f"{name}.json").read_text()), allowed)
+    path = CONFIGS / f"{name}.json"
+    doc = json.loads(path.read_text())
+    settings = _read_config(str(path), name.split("_")[0])
+    assert set(settings) == allowed
+    assert all(settings[key] == doc[key] for key in doc if key not in ("process", "surrogate"))
+
+
+def test_shipped_degenerate_config_checks_the_path_bound(tmp_path):
+    out = tmp_path / "d"
+    result = CliRunner().invoke(main, ["degenerate", "--config",
+                                       str(CONFIGS / "degenerate_flip.json"),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["config"]["process"]["sup_path_bound"] == 2.0
+    assert doc["summary"]["zero_beyond"] == 100
+    assert doc["summary"]["passed"] is True
+
+
+def _readme_default(value) -> str:
+    if value is dataclasses.MISSING:
+        return "required"
+    return "none" if value is None else str(value)
+
+
+def test_readme_config_table_matches_config_defaults():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("### Config format"):text.index("## Acceptance suite")]
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| `")]
+    documented = {}
+    for table, _, keys in rows:
+        pairs = re.findall(r"`(\w+)` \(([^)]*)\)", keys)
+        documented[table.strip().strip("`")] = dict(pairs)
+    assert documented == {
+        table: {key: _readme_default(value) for key, value in defaults.items()}
+        for table, defaults in CONFIG_DEFAULTS.items()}
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -181,6 +261,8 @@ def test_rates_command_deterministic(tmp_path, chain_doc):
         assert result.exit_code == 0, result.output
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     assert (out1 / "rates.csv").read_bytes() == (out2 / "rates.csv").read_bytes()
+    config = json.loads((out1 / "summary.json").read_text())["config"]
+    assert set(config) == {"process", *CONFIG_DEFAULTS["rates"]}
 
 
 def test_wasserstein_command(tmp_path, chain_doc):

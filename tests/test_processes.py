@@ -368,6 +368,37 @@ def test_serialization_round_trip(flip25, three_state):
     assert back == process
 
 
+def test_coboundary_path_bound_survives_round_trip(flip25):
+    cob = make_coboundary(flip25, [1.0, -1.0])
+    doc = json.loads(json.dumps(process_to_config(cob)))
+    assert doc["sup_path_bound"] == 2.0
+    assert process_from_config(doc).sup_path_bound == cob.sup_path_bound
+    assert "sup_path_bound" not in process_to_config(flip25)
+    assert process_from_config(process_to_config(flip25)).sup_path_bound is None
+
+
+LSV_DOC = {"type": "lsv", "gamma": 0.375, "burn_in": 100,
+           "observable": {"kind": "identity", "center": 0.4}}
+
+
+@pytest.mark.parametrize("doc, unknown", [
+    ({**LSV_DOC, "burnin": 5}, "burnin"),
+    ({**LSV_DOC, "observable": {"kind": "identity", "center": 0.4, "treshold": 0.2}},
+     "treshold"),
+    ({"type": "finite_chain", "transition": [[0.5, 0.5], [0.5, 0.5]],
+      "observable": [1.0, -1.0], "step": 1.0, "setp": 2.0, "labels": []},
+     "labels, setp"),
+])
+def test_process_config_typo_rejected(doc, unknown):
+    with pytest.raises(ValueError, match=f"^unknown config keys: {unknown}$"):
+        process_from_config(doc)
+
+
+def test_lsv_observable_kind_checked_on_construction():
+    with pytest.raises(ValueError, match="unknown observable kind 'identiy'"):
+        LsvObservable("identiy", 0.5)
+
+
 def test_path_csv_export(tmp_path, flip25):
     path = sample_path(flip25, 5, seed=1)
     out = tmp_path / "path.csv"
