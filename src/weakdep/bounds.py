@@ -26,6 +26,7 @@ from .processes import (FiniteChain, LsvProcess, chain_walk, lsv_running_stats,
                         path_uniforms)
 
 _CHUNK_ELEMENT_BUDGET = 8_000_000   # replicates x (n+1) doubles per chunk
+MIN_TAIL_REPLICATES = 100           # fewest replicates a tail estimate accepts
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +135,13 @@ def _chain_running_stats(chain: FiniteChain, u: np.ndarray):
 class TailSample:
     """(S_n, max_k S_k, min_k S_k) per replicate path of length n, in process
     units, S_0 = 0 included.  ``step`` is the lattice step of a lattice chain
-    (None otherwise) and makes tail queries exact.  Unpacks as s, smax, smin."""
+    (None otherwise) and makes tail queries exact."""
 
     n: int
     step: float | None
     s: np.ndarray
     smax: np.ndarray
     smin: np.ndarray
-
-    def __iter__(self):
-        return iter((self.s, self.smax, self.smin))
 
 
 def path_statistics(process, n: int, replicates: int, seed: int) -> TailSample:
@@ -197,8 +195,8 @@ def empirical_tail(sample: TailSample, x: float, statistic: str = "max") -> Tail
     exact on lattice chains (integer threshold).
     """
     replicates = len(sample.smax)
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates")
+    if replicates < MIN_TAIL_REPLICATES:
+        raise ValueError(f"need at least {MIN_TAIL_REPLICATES} replicates")
     if statistic not in ("max", "absmax"):
         raise ValueError("statistic must be 'max' or 'absmax'")
     stat = sample.smax if statistic == "max" else np.maximum(sample.smax, -sample.smin)
@@ -389,13 +387,22 @@ def validate_constants(process, fit: ConstantsFit, holdout_grid, replicates: int
 # Series and moment diagnostics
 # ---------------------------------------------------------------------------
 
-def _check_geometric(n_list) -> None:
+def check_series_inputs(n_list, alpha: float, replicates: int, statistic: str) -> None:
+    """Refuse a series check that cannot run, before anything is simulated:
+    a non-geometric n_list, alpha outside the statistic's range, or fewer
+    than MIN_TAIL_REPLICATES replicates."""
     ns = [int(n) for n in n_list]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing with >= 2 entries")
     ratios = [b / a for a, b in zip(ns, ns[1:])]
     if max(ratios) / min(ratios) > 1.0 + 1e-9:
         raise ValueError("n_list must be geometric")
+    if statistic == "max" and not 0.5 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (1/2, 1] for the one-sided check")
+    if statistic == "absmax" and not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1) for the degenerate check")
+    if replicates < MIN_TAIL_REPLICATES:
+        raise ValueError(f"need at least {MIN_TAIL_REPLICATES} replicates")
 
 
 def series_convergence_check(samples, alpha: float, p: float, epsilon: float,
@@ -407,11 +414,9 @@ def series_convergence_check(samples, alpha: float, p: float, epsilon: float,
     ``statistic="absmax"`` the degenerate one (alpha in (0, 1)).  The returned
     ``decays`` flag compares the last summand against the first.
     """
-    _check_geometric([sample.n for sample in samples])
-    if statistic == "max" and not 0.5 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (1/2, 1] for the one-sided check")
-    if statistic == "absmax" and not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1) for the degenerate check")
+    check_series_inputs([sample.n for sample in samples], alpha,
+                        min((len(sample.smax) for sample in samples), default=0),
+                        statistic)
     rows = []
     for sample in samples:
         n = sample.n
@@ -443,8 +448,8 @@ def degenerate_moment_check(process: FiniteChain, q: float, samples, *,
 
     rows = []
     for sample in samples:
-        s, smax, smin = sample
-        amax = np.maximum(smax, -smin)
+        s = sample.s
+        amax = np.maximum(sample.smax, -sample.smin)
         mq = np.abs(s) ** q
         m_hat = float(mq.mean())
         m_se = float(mq.std(ddof=1)) / math.sqrt(len(s))

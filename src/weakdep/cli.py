@@ -277,8 +277,9 @@ def export_path(config_path, seed, out_dir, n):
     settings = _read_config(config_path, "export-path", seed)
     path = sample_path(settings["process"], n, int(settings["seed"]))
     os.makedirs(out_dir, exist_ok=True)
-    from .processes import path_to_csv
-    path_to_csv(path, os.path.join(out_dir, "path.csv"))
+    rows = [{"index": k, "value": float(path.values[k - 1]),
+             "partial_sum": float(path.partial_sums[k])} for k in range(1, n + 1)]
+    write_table_csv(rows, os.path.join(out_dir, "path.csv"))
     click.echo(f"wrote path.csv with n={n}")
 
 

@@ -310,7 +310,6 @@ class ThetaTable:
 
     values: np.ndarray
     tail: TailModel
-    kind: str = "theta"
     p: int | None = None
     q: int | None = None
 
@@ -349,7 +348,7 @@ def theta_table_from_chain(chain: FiniteChain, p: int, q: int, horizon: int,
     over every lag; the tail model is caller-declared."""
     vals = _theta_lags(chain, p, q, 0, horizon, tuple_horizon)
     vals = np.minimum.accumulate(vals)  # crush 1e-16 enumeration noise
-    return ThetaTable(values=vals, tail=tail, kind="theta", p=p, q=q)
+    return ThetaTable(values=vals, tail=tail, p=p, q=q)
 
 
 # Geometric tail helpers, all shifted to a starting index a:
@@ -382,11 +381,6 @@ class SeriesSummary:
     theta2: float
     weighted: Callable[[float], float]
     sigma2: float | None = None
-    kind: str = "theta"
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "theta1": self.theta1, "theta2": self.theta2,
-                "sigma2": self.sigma2}
 
 
 def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSummary:
@@ -451,7 +445,7 @@ def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSumm
         return head + tail_weighted(x)
 
     return SeriesSummary(theta1=1.0 + head1 + tail1, theta2=1.0 + head2 + tail2,
-                         weighted=weighted, sigma2=sigma2, kind=table.kind)
+                         weighted=weighted, sigma2=sigma2)
 
 
 def certified_theta_table(chain: FiniteChain, p: int, q: int, horizon: int,
@@ -542,7 +536,7 @@ def theta_table_to_csv(table: ThetaTable, file) -> None:
     own = isinstance(file, (str, bytes))
     fh = open(file, "w") if own else file
     try:
-        fh.write(f"# kind: {table.kind} p={table.p} q={table.q}\n")
+        fh.write(f"# kind: theta p={table.p} q={table.q}\n")
         t = table.tail
         if t.kind == "geometric":
             fh.write(f"# tail: geometric rate={t.rate!r}\n")

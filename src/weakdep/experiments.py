@@ -3,9 +3,11 @@
 Every pipeline is a pure function of (config, seed): replicates fan out over
 counter-based substreams, statistics are reduced in replicate order, and rate
 checks are slope regressions against declared targets with declared
-tolerances.  Logarithmic factors in the predicted rates are nearly collinear
-with the power term at desk scale, so they are folded into the tolerances
-rather than fitted.
+tolerances.  The three coupled rates (``rates`` on a chain, ``wasserstein``
+and an LSV surrogate) run one pipeline, :func:`_coupled_rate`, behind one set
+of checks, :func:`_require_coupled`.  Logarithmic factors in the predicted
+rates are nearly collinear with the power term at desk scale, so they are
+folded into the tolerances rather than fitted.
 """
 
 from __future__ import annotations
@@ -15,14 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import degenerate_moment_check, path_statistics, series_convergence_check
+from .bounds import (check_series_inputs, degenerate_moment_check, path_statistics,
+                     series_convergence_check)
 from .coefficients import is_degenerate, sigma2_exact
-from .coupling import CouplingSchedule, coupling_errors, make_schedule, _couple_path
+from .coupling import coupling_errors, make_schedule, _couple_path
 from .processes import FiniteChain, LsvProcess, lsv_running_stats, sample_chain_paths
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -53,14 +52,6 @@ class ExperimentConfig:
             raise ValueError("n_list must be nonempty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("n_list must be strictly increasing")
-
-    def require_dyadic(self):
-        if not all(_is_power_of_two(n) and n >= 8 for n in self.n_list):
-            raise ValueError("n_list entries must be powers of two, >= 8")
-
-    def require_rate_replicates(self):
-        if self.replicates < 16:
-            raise ValueError("rate experiments need at least 16 replicates")
 
 
 @dataclass(frozen=True)
@@ -102,16 +93,28 @@ def fit_power_law(ns, values):
     return float(beta[1]), se, float(beta[0])
 
 
-def _schedule_for(n: int, config: ExperimentConfig) -> CouplingSchedule:
-    big_n = int(math.log2(n)) - 1
-    return make_schedule(big_n, config.p, config.variant,
-                         epsilon=config.epsilon, c_fit=config.c_fit)
+def _require_replicates(config: ExperimentConfig) -> None:
+    if config.replicates < 16:
+        raise ValueError("rate experiments need at least 16 replicates")
 
 
-def coupling_sup_errors(chain: FiniteChain, config: ExperimentConfig, n: int) -> np.ndarray:
-    """sup_k |S_k - T_k| per replicate for one n."""
-    schedule = _schedule_for(n, config)
-    sigma2 = sigma2_exact(chain)
+def _require_coupled(chain, config: ExperimentConfig) -> None:
+    """The checks of every coupled ladder: an exact lattice chain with
+    sigma2 > 0, n_list powers of two >= 8 (dyadic blocks), >= 16 replicates."""
+    if not isinstance(chain, FiniteChain):
+        raise ValueError("rate experiments require an exact lattice chain")
+    if not all(n >= 8 and n & (n - 1) == 0 for n in config.n_list):
+        raise ValueError("n_list entries must be powers of two, >= 8")
+    _require_replicates(config)
+    if is_degenerate(chain):
+        raise ValueError("degenerate process: use the degenerate pipeline")
+
+
+def coupling_sup_errors(chain: FiniteChain, config: ExperimentConfig, n: int,
+                        sigma2: float) -> np.ndarray:
+    """sup_k |S_k - T_k| per replicate for one n, coupled at variance sigma2."""
+    schedule = make_schedule(int(math.log2(n)) - 1, config.p, config.variant,
+                             epsilon=config.epsilon, c_fit=config.c_fit)
     states, vals = sample_chain_paths(chain, n, config.seed, range(config.replicates))
     return np.asarray([
         coupling_errors(_couple_path(chain, schedule, sigma2, states[rep],
@@ -131,35 +134,13 @@ def _l2_with_variance(errs: np.ndarray) -> tuple[float, float]:
     return math.sqrt(mean_sq), var_mean * d * d
 
 
-def _coupling_ladder(chain: FiniteChain, config: ExperimentConfig,
-                     rescale: bool = False) -> tuple[list, list]:
-    """L2 level of sup_k |S_k - T_k| at each n of the config, and the Monte
-    Carlo variance of its base-2 log.  With ``rescale`` each error is first
-    divided by sqrt(n), the Donsker scaling of :func:`donsker_sup_distance`."""
-    levels, y_vars = [], []
-    for n in config.n_list:
-        errs = coupling_sup_errors(chain, config, n)
-        if rescale:
-            errs = errs / math.sqrt(n)
-        level, var_y = _l2_with_variance(errs)
-        levels.append(level)
-        y_vars.append(var_y)
-    return levels, y_vars
-
-
-def _rate_estimate(ns, rms, target, tolerance, extra_rows=None,
-                   y_vars=None) -> RateEstimate:
-    rows = []
-    for i, n in enumerate(ns):
-        row = {"n": int(n), "error_l2": float(rms[i])}
-        if extra_rows:
-            row.update(extra_rows[i])
-        rows.append(row)
+def _rate_estimate(ns, rms, target, tolerance, y_vars=None) -> RateEstimate:
+    rows = tuple({"n": int(n), "error_l2": float(level)} for n, level in zip(ns, rms))
     arr = np.asarray(rms, dtype=float)
     if np.any(arr <= 0.0) or float(np.max(arr)) < 1e-9:
         return RateEstimate(exponent=0.0, exponent_se=math.inf, target=target,
                             tolerance=tolerance, passed=None, degenerate=True,
-                            rows=tuple(rows))
+                            rows=rows)
     slope, se, _ = fit_power_law(ns, rms)
     if y_vars is not None:
         # Monte Carlo error of the slope: propagate per-point log variances
@@ -171,7 +152,26 @@ def _rate_estimate(ns, rms, target, tolerance, extra_rows=None,
         se = math.sqrt(float(weights[1] ** 2 @ np.asarray(y_vars)))
     passed = abs(slope - target) <= tolerance
     return RateEstimate(exponent=slope, exponent_se=se, target=target,
-                        tolerance=tolerance, passed=passed, rows=tuple(rows))
+                        tolerance=tolerance, passed=passed, rows=rows)
+
+
+def _coupled_rate(chain: FiniteChain, config: ExperimentConfig, target: float,
+                  rescale: bool = False) -> RateEstimate:
+    """The one coupled pipeline: per n, the L2 level over replicates of
+    sup_k |S_k - T_k| (over sqrt(n) with ``rescale``: the uniform distance of
+    the rescaled lines, both linear between breakpoints k/n) and the Monte
+    Carlo variance of its log; then the slope fit against ``target``.  sigma2
+    is certified once per ladder."""
+    sigma2 = sigma2_exact(chain)
+    levels, y_vars = [], []
+    for n in config.n_list:
+        errs = coupling_sup_errors(chain, config, n, sigma2)
+        if rescale:
+            errs = errs / math.sqrt(n)
+        level, var_y = _l2_with_variance(errs)
+        levels.append(level)
+        y_vars.append(var_y)
+    return _rate_estimate(config.n_list, levels, target, config.tolerance, y_vars=y_vars)
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateEstimate:
@@ -181,16 +181,8 @@ def run_rate_experiment(config: ExperimentConfig) -> RateEstimate:
     replicates; the fitted log-log slope is compared with 1/p at the
     configured tolerance.
     """
-    chain = config.process
-    if not isinstance(chain, FiniteChain):
-        raise ValueError("rate experiments require an exact lattice chain")
-    config.require_dyadic()
-    config.require_rate_replicates()
-    if is_degenerate(chain):
-        raise ValueError("degenerate process: use the degenerate pipeline")
-    rms, y_vars = _coupling_ladder(chain, config)
-    return _rate_estimate(config.n_list, rms, target=1.0 / config.p,
-                          tolerance=config.tolerance, y_vars=y_vars)
+    _require_coupled(config.process, config)
+    return _coupled_rate(config.process, config, 1.0 / config.p)
 
 
 @dataclass(frozen=True)
@@ -212,16 +204,20 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
     the growth exponent of ||S_n^*||_2 (a fluctuation proxy); when a
     finite-chain surrogate is configured, its coupled rate is measured under
     a schedule with p = min(4, 1/gamma) and compared with the
-    max(gamma, 1/4) target.
+    max(gamma, 1/4) target.  Every check, the surrogate's included, runs
+    before any orbit is stepped.
     """
     process = config.process
     if not isinstance(process, LsvProcess):
         raise ValueError("run_lsv_experiment requires an intermittent-map process")
     if not 0.0 < process.gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2) for rate experiments")
-    config.require_rate_replicates()
     gamma = process.gamma
     target = max(gamma, 0.25)
+    coupled = replace(config, p=min(4.0, 1.0 / gamma))
+    _require_replicates(config)
+    if config.surrogate is not None:
+        _require_coupled(config.surrogate, coupled)
 
     sup_l2 = []
     rows = []
@@ -235,11 +231,7 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
 
     surrogate_estimate = None
     if config.surrogate is not None:
-        p_eff = min(4.0, 1.0 / gamma)
-        rms, y_vars = _coupling_ladder(config.surrogate, replace(config, p=p_eff))
-        surrogate_estimate = _rate_estimate(
-            config.n_list, rms, target=target, tolerance=config.tolerance,
-            y_vars=y_vars)
+        surrogate_estimate = _coupled_rate(config.surrogate, coupled, target)
     return LsvReport(gamma=gamma, target=target, direct_exponent=direct_slope,
                      direct_se=direct_se, direct_rows=tuple(rows),
                      surrogate=surrogate_estimate)
@@ -251,16 +243,6 @@ class WassersteinReport:
     reference_exponent: float = -1.0 / 6.0
 
 
-def donsker_sup_distance(sup_error: float, n: int) -> float:
-    """Uniform distance between the rescaled partial-sum line and the
-    piecewise-linear Gaussian partner built from the same increments.
-
-    Both are linear between breakpoints k/n, so the sup over t equals the sup
-    over breakpoints: n^{-1/2} sup_k |S_k - T_k| exactly.
-    """
-    return sup_error / math.sqrt(n)
-
-
 def donsker_wasserstein(config: ExperimentConfig) -> WassersteinReport:
     """Decay of the quadratic-cost upper bound ||sup_t |B_n - sigma B|||_2.
 
@@ -268,20 +250,13 @@ def donsker_wasserstein(config: ExperimentConfig) -> WassersteinReport:
     rate at fourth moments, reported for visual comparison only) is anchored
     at the smallest n.
     """
-    chain = config.process
-    if not isinstance(chain, FiniteChain):
-        raise ValueError("donsker experiments require an exact lattice chain")
-    config.require_dyadic()
-    config.require_rate_replicates()
-    if is_degenerate(chain):
-        raise ValueError("degenerate process: use the degenerate pipeline")
-    rms, y_vars = _coupling_ladder(chain, config, rescale=True)
-    anchor_c = rms[0] / config.n_list[0] ** (-1.0 / 6.0)
-    extra = [{"reference_n16": anchor_c * n ** (-1.0 / 6.0)} for n in config.n_list]
-    tol = max(config.tolerance, 0.10)
-    estimate = _rate_estimate(config.n_list, rms, target=-0.25, tolerance=tol,
-                              extra_rows=extra, y_vars=y_vars)
-    return WassersteinReport(estimate=estimate)
+    _require_coupled(config.process, config)
+    estimate = _coupled_rate(config.process, config, -0.25, rescale=True)
+    first = estimate.rows[0]
+    anchor_c = first["error_l2"] / first["n"] ** (-1.0 / 6.0)
+    rows = tuple({**row, "reference_n16": anchor_c * row["n"] ** (-1.0 / 6.0)}
+                 for row in estimate.rows)
+    return WassersteinReport(estimate=replace(estimate, rows=rows))
 
 
 @dataclass(frozen=True)
@@ -307,6 +282,7 @@ def run_degenerate_suite(config: ExperimentConfig) -> DegenerateReport:
         raise ValueError("the degenerate suite requires an exact lattice chain")
     if not is_degenerate(chain):
         raise ValueError("process not degenerate")
+    check_series_inputs(config.n_list, config.alpha, config.replicates, "absmax")
     samples = [path_statistics(chain, n, config.replicates, config.seed)
                for n in config.n_list]
     moment = degenerate_moment_check(chain, config.moment_q, samples)

@@ -642,16 +642,3 @@ def process_from_config(doc: dict):
         )
     raise ValueError(f"unknown process type {kind!r}")
 
-
-def path_to_csv(path: SamplePath, file) -> None:
-    """Write (index, value, partial_sum) rows; index k covers 1..n."""
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "w") if own else file
-    try:
-        fh.write("index,value,partial_sum\n")
-        for k in range(1, path.n + 1):
-            fh.write(f"{k},{float(path.values[k - 1])!r},"
-                     f"{float(path.partial_sums[k])!r}\n")
-    finally:
-        if own:
-            fh.close()

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import weakdep
 from weakdep import flip_chain, make_coboundary
 from weakdep.cli import CONFIG_DEFAULTS, _read_config, main
-from weakdep.processes import process_to_config
+from weakdep.processes import process_from_config, process_to_config, sample_path
 from weakdep.rng import holdout_seed
 
 ROOT = Path(__file__).parent.parent
@@ -277,6 +277,19 @@ def test_wasserstein_command(tmp_path, chain_doc):
     assert summary["reference_exponent"] == pytest.approx(-1 / 6)
 
 
+def test_wasserstein_uses_configured_tolerance(tmp_path, chain_doc):
+    cfg = write_config(tmp_path, {
+        "process": chain_doc, "n_list": [256, 512], "replicates": 16, "seed": 9,
+        "tolerance": 0.05})
+    out = tmp_path / "w"
+    result = CliRunner().invoke(main, ["wasserstein", "--config", cfg,
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["summary"]["tolerance"] == 0.05
+    assert doc["config"]["tolerance"] == 0.05
+
+
 def test_degenerate_command(tmp_path, chain_doc):
     proc = {"type": "finite_chain", "states": ["a", "b"],
             "transition": [[0.75, 0.25], [0.25, 0.75]],
@@ -318,3 +331,7 @@ def test_export_path_command(tmp_path, chain_doc):
     lines = (out / "path.csv").read_text().splitlines()
     assert lines[0] == "index,value,partial_sum"
     assert len(lines) == 33
+    path = sample_path(process_from_config(chain_doc), 32, 4)
+    for k in (1, 3, 32):
+        assert lines[k] == (f"{k},{float(path.values[k - 1])!r},"
+                            f"{float(path.partial_sums[k])!r}")

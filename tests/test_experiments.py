@@ -10,7 +10,7 @@ from weakdep import (ExperimentConfig, donsker_wasserstein, emit_report,
                      run_degenerate_suite, run_lsv_experiment,
                      run_rate_experiment, sigma2_exact)
 from weakdep.coupling import build_coupling, coupling_errors
-from weakdep.experiments import donsker_sup_distance, fit_power_law
+from weakdep.experiments import fit_power_law
 from weakdep import coefficients, experiments, processes
 from weakdep.coefficients import is_degenerate
 from weakdep.bounds import path_statistics
@@ -41,9 +41,10 @@ def test_config_validation(flip25):
         ExperimentConfig(process=flip25, n_list=[64, 64])
     cfg = ExperimentConfig(process=flip25, n_list=[100, 200], replicates=8)
     with pytest.raises(ValueError, match="powers of two"):
-        cfg.require_dyadic()
+        run_rate_experiment(cfg)
     with pytest.raises(ValueError, match="16 replicates"):
-        cfg.require_rate_replicates()
+        run_rate_experiment(ExperimentConfig(process=flip25, n_list=[256, 512],
+                                             replicates=8))
 
 
 @pytest.mark.parametrize("name", ["rates_flip", "rates_lsv", "wasserstein_flip",
@@ -112,10 +113,51 @@ def test_lsv_direct_rows_match_full_orbit_matrix(monkeypatch):
         sums = np.cumsum(vals, axis=1)
         smax = np.max(np.abs(sums), axis=1)
         assert row["sup_l2"] == math.sqrt(float(np.mean(smax ** 2)))
-        s, smax, smin = path_statistics(process, row["n"], 16, seed=5)
-        assert np.array_equal(s, sums[:, -1])
-        assert np.array_equal(smax, np.maximum(sums.max(axis=1), 0.0))
-        assert np.array_equal(smin, np.minimum(sums.min(axis=1), 0.0))
+        sample = path_statistics(process, row["n"], 16, seed=5)
+        assert np.array_equal(sample.s, sums[:, -1])
+        assert np.array_equal(sample.smax, np.maximum(sums.max(axis=1), 0.0))
+        assert np.array_equal(sample.smin, np.minimum(sums.min(axis=1), 0.0))
+
+
+def _no_orbits(*args, **kw):
+    raise AssertionError("orbits stepped before the surrogate was checked")
+
+
+def test_lsv_surrogate_non_dyadic_ladder_rejected_before_orbits(monkeypatch):
+    monkeypatch.setattr(experiments, "lsv_running_stats", _no_orbits)
+    proc = LsvProcess(gamma=0.375, observable=LsvObservable("identity", 0.42823),
+                      burn_in=10)
+    cfg = ExperimentConfig(process=proc, surrogate=flip_chain(0.25),
+                           n_list=[100, 300], replicates=16, seed=1)
+    with pytest.raises(ValueError, match="powers of two, >= 8"):
+        run_lsv_experiment(cfg)
+
+
+def test_lsv_degenerate_surrogate_rejected_before_orbits(monkeypatch, flip25):
+    monkeypatch.setattr(experiments, "lsv_running_stats", _no_orbits)
+    proc = LsvProcess(gamma=0.375, observable=LsvObservable("identity", 0.42823),
+                      burn_in=10)
+    cfg = ExperimentConfig(process=proc, surrogate=make_coboundary(flip25, [1.0, -1.0]),
+                           n_list=[256, 512], replicates=16, seed=1)
+    with pytest.raises(ValueError, match="degenerate process"):
+        run_lsv_experiment(cfg)
+
+
+def test_sigma2_certified_once_per_ladder(monkeypatch, flip25):
+    calls = []
+    certified = coefficients.sigma2_certified
+
+    def counted(chain, *args, **kw):
+        calls.append(chain)
+        return certified(chain, *args, **kw)
+
+    monkeypatch.setattr(coefficients, "sigma2_certified", counted)
+    counts = []
+    for n_list in ([64, 128], [64, 128, 256, 512]):
+        calls.clear()
+        run_rate_experiment(small_config(flip25, n_list=n_list, replicates=16))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_lsv_gamma_out_of_range_rejected():
@@ -146,9 +188,10 @@ def test_median_sup_error_tracks_rate_curve(flip25):
     # with C anchored at n = 2^11
     from weakdep.experiments import coupling_sup_errors
     cfg = small_config(flip25, replicates=64, n_list=[2 ** 11, 2 ** 15], seed=77)
+    sigma2 = sigma2_exact(flip25)
 
     def median_at(n):
-        return float(np.median(coupling_sup_errors(flip25, cfg, n)))
+        return float(np.median(coupling_sup_errors(flip25, cfg, n, sigma2)))
 
     def curve(n):
         return n ** 0.25 * math.log(n) ** 0.5
@@ -167,7 +210,7 @@ def test_donsker_rescaling_identity(flip25):
     b_line = path.s / math.sqrt(n)
     g_line = path.t / math.sqrt(n)
     breakpoint_sup = float(np.max(np.abs(b_line - g_line)))
-    assert breakpoint_sup == pytest.approx(donsker_sup_distance(sup, n), abs=1e-15)
+    assert breakpoint_sup == pytest.approx(sup / math.sqrt(n), abs=1e-15)
     # linear interpolation between shared breakpoints adds nothing; the
     # crude remainder bound is trivially respected
     remainder_bound = (flip25.sup_norm + float(np.max(np.abs(path.z)))) / math.sqrt(n)
@@ -202,6 +245,24 @@ def test_degenerate_suite_rejects_nondegenerate(flip25):
                            seed=5, alpha=0.5)
     with pytest.raises(ValueError, match="not degenerate"):
         run_degenerate_suite(cfg)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"n_list": [100, 1000, 5000]}, "n_list must be geometric"),
+    ({"n_list": [100]}, "strictly increasing with >= 2 entries"),
+    ({"alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
+    ({"replicates": 99}, "need at least 100 replicates"),
+], ids=["non-geometric", "one-n", "alpha", "replicates"])
+def test_degenerate_suite_checks_before_simulating(monkeypatch, flip25, changes,
+                                                   message):
+    def no_simulation(*args, **kw):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(experiments, "path_statistics", no_simulation)
+    settings = dict(process=make_coboundary(flip25, [1.0, -1.0]),
+                    n_list=[100, 1000, 10000], replicates=500, seed=5, alpha=0.5)
+    with pytest.raises(ValueError, match=message):
+        run_degenerate_suite(ExperimentConfig(**{**settings, **changes}))
 
 
 def test_degeneracy_decided_by_certified_interval(monkeypatch, flip25):

@@ -12,7 +12,7 @@ from weakdep import (build_finite_chain, flip_chain, make_coboundary,
 from weakdep.bounds import _chain_running_stats
 from weakdep.processes import (LsvObservable, LsvProcess,
                                _chain_states_from_uniforms, lsv_map,
-                               lsv_reference_mean, lsv_running_stats, path_to_csv,
+                               lsv_reference_mean, lsv_running_stats,
                                process_from_config, process_to_config,
                                sample_lsv_ensemble)
 
@@ -317,7 +317,7 @@ def test_coboundary_mean_abs_sum_stable(flip25):
     chain = make_coboundary(flip25, [1.0, -1.0])
     means = []
     for n in (100, 1000, 10000):
-        s, _, _ = path_statistics(chain, n, 5000, seed=31)
+        s = path_statistics(chain, n, 5000, seed=31).s
         means.append(float(np.mean(np.abs(s))))
     assert max(means) / min(means) < 1.10
 
@@ -398,15 +398,3 @@ def test_lsv_observable_kind_checked_on_construction():
     with pytest.raises(ValueError, match="unknown observable kind 'identiy'"):
         LsvObservable("identiy", 0.5)
 
-
-def test_path_csv_export(tmp_path, flip25):
-    path = sample_path(flip25, 5, seed=1)
-    out = tmp_path / "path.csv"
-    path_to_csv(path, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "index,value,partial_sum"
-    assert len(lines) == 6
-    k, value, psum = lines[3].split(",")
-    assert int(k) == 3
-    assert float(psum) == pytest.approx(path.partial_sums[3])
-    assert float(value) == pytest.approx(path.values[2])
