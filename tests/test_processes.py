@@ -398,3 +398,23 @@ def test_lsv_observable_kind_checked_on_construction():
     with pytest.raises(ValueError, match="unknown observable kind 'identiy'"):
         LsvObservable("identiy", 0.5)
 
+
+
+def test_path_csv_export(tmp_path, flip25):
+    from click.testing import CliRunner
+
+    from weakdep.cli import main
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"process": process_to_config(flip25), "seed": 1}))
+    result = CliRunner().invoke(main, ["export-path", "--config", str(cfg),
+                                       "--out", str(tmp_path), "--n", "5"])
+    assert result.exit_code == 0, result.output
+    path = sample_path(flip25, 5, seed=1)
+    lines = (tmp_path / "path.csv").read_text().strip().splitlines()
+    assert lines[0] == "index,value,partial_sum"
+    assert len(lines) == 6
+    k, value, psum = lines[3].split(",")
+    assert int(k) == 3
+    assert float(psum) == pytest.approx(path.partial_sums[3])
+    assert float(value) == pytest.approx(path.values[2])
