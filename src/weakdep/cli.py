@@ -51,8 +51,9 @@ CONFIG_DEFAULTS = {
     "rates": _experiment_keys(*_RATE_KEYS),
     "rates-lsv": _experiment_keys(*(k for k in _RATE_KEYS if k != "p"), "surrogate"),
     "wasserstein": _experiment_keys(*_RATE_KEYS),
-    "degenerate": _experiment_keys("n_list", "replicates", "seed", "alpha", "series_p",
-                                   "series_epsilon", "moment_q"),
+    "degenerate": {**_experiment_keys("n_list", "replicates", "seed", "alpha", "series_p",
+                                      "series_epsilon", "moment_q"),
+                   "replicates": bnd.MIN_TAIL_REPLICATES},
 }
 
 

@@ -11,10 +11,10 @@ i.i.d. centered Gaussians built on the same probability space:
 3. V is split into 2^{m(L)} i.i.d. N(0, sigma2) increments summing to V
    (conditional-Gaussian mean shift plus centered residuals).
 
-Step 2 runs one dyadic level at a time: the level's block sums come from one
-reshape, and one array call of the quantile transform serves all blocks that
-start in the same state.  Step 3 stays a loop over the blocks, each on its
-own substream (layout in :mod:`weakdep.rng`).
+Both steps run one dyadic level at a time: one pass over the level's block
+substreams (layout in :mod:`weakdep.rng`) draws every atom randomizer and row
+of split normals, one array call of the quantile transform serves all blocks
+that start in the same state, and one skorohod_split call splits them all.
 
 Per-level error statistics D_L <= D_{L,1} + D_{L,2} quantify how far T tracks
 S.  Everything here requires an exact lattice chain and sigma2 > 0; the
@@ -23,6 +23,7 @@ degenerate regime lives in :mod:`weakdep.bounds`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +33,7 @@ from scipy.special import ndtr, ndtri
 
 from .coefficients import BudgetExceededError
 from .processes import FiniteChain, _chain_states_from_uniforms, sample_chain_paths
-from .rng import block_stream
+from .rng import Domain, block_address, substreams
 
 ATOM_BUDGET = 10**7
 
@@ -240,24 +241,23 @@ def _conditional_quantile(dist: BlockDist, u_int, delta) -> np.ndarray:
     return gaussian_quantile(f_minus + delta * (f_at - f_minus))
 
 
-def skorohod_split(v: float, m: int, sigma2: float,
-                   substream: np.random.Generator) -> np.ndarray:
-    """Split a Gaussian total into 2^m i.i.d. N(0, sigma2) increments.
+def skorohod_split(v: np.ndarray, normals: np.ndarray, sigma2: float) -> np.ndarray:
+    """Running sums of 2^m i.i.d. N(0, sigma2) increments adding up to v[k],
+    one row per block, from standard normal rows `normals` (blocks, 2^m).
 
     Increments are v / 2^m plus centered Gaussian residuals (the conditional
     law of i.i.d. Gaussians given their sum); the final increment absorbs the
     float summation residual so the increments add back to v.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if normals.ndim != 2 or normals.shape[1] < 2:
+        raise ValueError("need rows of 2^m normals with m >= 1")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    count = 2 ** m
-    g = substream.normal(0.0, math.sqrt(sigma2), count)
-    inc = v / count + (g - g.mean())
+    g = math.sqrt(sigma2) * normals
+    inc = (v / normals.shape[1])[:, None] + (g - g.mean(axis=1)[:, None])
     for _ in range(2):
-        inc[-1] += v - float(np.sum(inc))
-    return inc
+        inc[:, -1] += v - inc.sum(axis=1)
+    return np.cumsum(inc, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +319,23 @@ def _couple_path(chain: FiniteChain, schedule: CouplingSchedule, sigma2: float,
 
     t = np.zeros(n + 1)
     sigma = math.sqrt(sigma2)
-    gen0 = block_stream(seed, n, replicate, 0)
-    z1 = sigma * gaussian_quantile(_clip_unit(gen0.random()))
-    t[1] = z1
+    address = block_address(n, replicate)
+    streams = substreams(seed, Domain.BLOCK, ((address, serial) for serial in itertools.count()))
+    t[1] = sigma * gaussian_quantile(_clip_unit(next(streams).random()))
 
     dists: dict[tuple[int, int], BlockDist] = {}
     u_by_level, v_by_level, m_by_level = [], [], []
-    serial = 1
-    t_run = z1
     for level in schedule.levels:
         m = int(schedule.m[level])
         count = 2 ** m
         base = 2 ** int(level)
         u_int = vals_int[base:2 * base].reshape(-1, count).sum(axis=1)
         starts = states[base:2 * base:count]
-        gens = [block_stream(seed, n, replicate, serial + k) for k in range(len(u_int))]
-        serial += len(u_int)
-        deltas = _clip_unit(np.array([gen.random() for gen in gens]))
+        draws = np.empty((len(u_int), 1 + (count if m else 0)))
+        for row, gen in zip(draws, streams):
+            row[0] = gen.random()
+            gen.standard_normal(out=row[1:])
+        deltas = _clip_unit(draws[:, 0])
         v = np.empty(len(u_int))
         scale = sigma * (2.0 ** (m / 2.0))
         for state in np.unique(starts):
@@ -345,16 +345,11 @@ def _couple_path(chain: FiniteChain, schedule: CouplingSchedule, sigma2: float,
                 dist = dists[key] = block_sum_dist(chain, key[0], m)
             sel = starts == state
             v[sel] = scale * _conditional_quantile(dist, u_int[sel], deltas[sel])
-        for k, gen in enumerate(gens):
-            b = base + k * count
-            target = t_run + v[k]
-            if m == 0:
-                t[b + 1] = target
-            else:
-                prefix = t_run + np.cumsum(skorohod_split(v[k], m, sigma2, gen))
-                prefix[-1] = target    # boundary identity holds bitwise
-                t[b + 1:b + count + 1] = prefix
-            t_run = target
+        block_t = np.cumsum(np.concatenate(([t[base]], v)))   # summed in block order
+        prefix = (block_t[:-1, None] + skorohod_split(v, draws[:, 1:], sigma2) if m
+                  else np.empty((len(v), 1)))
+        prefix[:, -1] = block_t[1:]    # boundary identity holds bitwise
+        t[base + 1:2 * base + 1] = prefix.ravel()
         u_by_level.append(u_int * step)
         v_by_level.append(v)
         m_by_level.append(m)
@@ -459,8 +454,8 @@ def block_coupling_second_moment(chain: FiniteChain, m: int, sigma2: float,
     mixture of per-start squared transport costs.
     """
     count = 2 ** m
-    gens = [block_stream(seed, count, rep, 0) for rep in range(blocks)]
-    u = np.stack([g.random(count + 2) for g in gens])
+    addresses = ((block_address(count, rep), 0) for rep in range(blocks))
+    u = np.stack([gen.random(count + 2) for gen in substreams(seed, Domain.BLOCK, addresses)])
     states = _chain_states_from_uniforms(chain, u[:, :count + 1])
     u_int = chain.obs_int[states[:, 1:]].sum(axis=1)
     deltas = _clip_unit(u[:, -1])

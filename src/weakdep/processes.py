@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import path_stream
+from .rng import Domain, path_stream, substreams
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -217,26 +217,6 @@ def flip_chain(a: float, step: float = 1.0) -> FiniteChain:
         states=("+", "-"))
 
 
-def normalize_process(chain: FiniteChain) -> FiniteChain:
-    """Chain with the observable divided by its sup norm (sup_norm becomes 1)."""
-    if chain.sup_norm == 0:
-        raise ValueError("cannot normalize a null observable")
-    return FiniteChain(
-        states=chain.states,
-        transition=chain.transition.copy(),
-        stationary=chain.stationary.copy(),
-        observable=chain.observable / chain.sup_norm,
-        step=chain.step / chain.sup_norm,
-        obs_int=chain.obs_int.copy(),
-        sup_norm=1.0,
-        exact_transition=chain.exact_transition,
-        exact_stationary=chain.exact_stationary,
-        process_id=chain.process_id + "_normalized",
-        sup_path_bound=(None if chain.sup_path_bound is None
-                        else chain.sup_path_bound / chain.sup_norm),
-    )
-
-
 # ---------------------------------------------------------------------------
 # LSV intermittent map
 # ---------------------------------------------------------------------------
@@ -375,8 +355,8 @@ class SamplePath:
 def path_uniforms(seed: int, n: int, replicates: Sequence[int]) -> np.ndarray:
     """Uniforms (r, n+1) from the path substreams of the given replicates."""
     u = np.empty((len(replicates), n + 1))
-    for row, rep in zip(u, replicates):
-        path_stream(seed, n, rep).random(out=row)
+    for row, gen in zip(u, substreams(seed, Domain.PATH, ((n, rep) for rep in replicates))):
+        gen.random(out=row)
     return u
 
 
@@ -483,8 +463,8 @@ def _lsv_ladder_blocks(process: LsvProcess, n_list: Sequence[int], seed: int,
     len(replicates) x LSV_BLOCK_STEPS values, so a single n gets blocks of
     LSV_BLOCK_STEPS steps."""
     order = sorted(range(len(n_list)), key=lambda i: -n_list[i])
-    x = np.array([float(path_stream(seed, n_list[i], rep).random())
-                  for i in order for rep in replicates])
+    addresses = ((n_list[i], rep) for i in order for rep in replicates)
+    x = np.array([gen.random() for gen in substreams(seed, Domain.PATH, addresses)])
     lengths = np.repeat([n_list[i] for i in order], len(replicates))
     return order, _lsv_value_blocks(process, x, lengths,
                                     len(replicates) * LSV_BLOCK_STEPS)

@@ -4,9 +4,11 @@ Everything here avoids the library's computational paths: conditional
 expectations by explicit path enumeration, tail probabilities by survival
 dynamic programming (cross-checked against the reflection identity), event
 suprema by full subset enumeration, block laws in rational arithmetic.
-Reference kernels (the chain stepper, the coupling loop, the LSV map and its
-per-n orbit loop) keep the loops that faster kernels replaced, and
-``random_lattice_chain`` draws the chains they are compared on.
+Reference kernels (the chain stepper, the coupling loop with its scalar
+increment split, the LSV map and its per-n orbit loop) keep the loops that
+faster kernels replaced, ``philox_substream`` builds a fresh generator for
+each substream address, and ``random_lattice_chain`` draws the chains they
+are compared on.
 """
 
 import math
@@ -18,7 +20,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
 from weakdep.coefficients import BudgetExceededError
-from weakdep.coupling import block_sum_dist, skorohod_split
+from weakdep.coupling import block_sum_dist
 from weakdep.processes import FiniteChain
 from weakdep.rng import block_stream, path_stream
 
@@ -254,14 +256,35 @@ def lsv_running_stats_per_n(process, n_list, seed, replicates):
     return stats
 
 
+def skorohod_split_scalar(v, m, sigma2, substream):
+    """Reference split of one Gaussian total v into 2^m N(0, sigma2)
+    increments drawn from `substream`: v / 2^m plus the centered draws, the
+    last increment corrected twice so the increments add back to v."""
+    count = 2 ** m
+    g = substream.normal(0.0, math.sqrt(sigma2), count)
+    inc = v / count + (g - g.mean())
+    for _ in range(2):
+        inc[-1] += v - float(np.sum(inc))
+    return inc
+
+
+def philox_substream(seed, domain, a, b):
+    """A fresh Philox generator at the substream (domain, a, b) of `seed`,
+    built from the address layout documented in weakdep.rng."""
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    counter = np.array([0, domain & mask, a & mask, b & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
 def couple_path_loop(chain, schedule, sigma2, states, vals_int, seed, replicate):
     """Reference coupling: the block-by-block loop with a scalar cdf lookup.
 
     Each block builds its substream in serial order, draws the atom
     randomizer, maps its integer sum to F(u-) + delta (F(u) - F(u-)) of the
     exact block-start law (F(u) = F(u-) between atoms), takes the clamped
-    Gaussian quantile and splits the total.  Returns (t, u_by_level,
-    v_by_level)."""
+    Gaussian quantile and splits the total with skorohod_split_scalar.
+    Returns (t, u_by_level, v_by_level)."""
     p_lo = float(ndtr(-8.2))
     p_hi = min(1.0 - p_lo, float(np.nextafter(1.0, 0.0)))
 
@@ -303,7 +326,7 @@ def couple_path_loop(chain, schedule, sigma2, states, vals_int, seed, replicate)
             if m == 0:
                 t[b + 1] = target
             else:
-                prefix = t_run + np.cumsum(skorohod_split(v, m, sigma2, gen))
+                prefix = t_run + np.cumsum(skorohod_split_scalar(v, m, sigma2, gen))
                 prefix[-1] = target
                 t[b + 1:b + count + 1] = prefix
             t_run = target
@@ -312,6 +335,26 @@ def couple_path_loop(chain, schedule, sigma2, states, vals_int, seed, replicate)
         u_by_level.append(np.asarray(us))
         v_by_level.append(np.asarray(vs))
     return t, u_by_level, v_by_level
+
+
+def normalize_process(chain: FiniteChain) -> FiniteChain:
+    """Chain with the observable divided by its sup norm (sup_norm becomes 1)."""
+    if chain.sup_norm == 0:
+        raise ValueError("cannot normalize a null observable")
+    return FiniteChain(
+        states=chain.states,
+        transition=chain.transition.copy(),
+        stationary=chain.stationary.copy(),
+        observable=chain.observable / chain.sup_norm,
+        step=chain.step / chain.sup_norm,
+        obs_int=chain.obs_int.copy(),
+        sup_norm=1.0,
+        exact_transition=chain.exact_transition,
+        exact_stationary=chain.exact_stationary,
+        process_id=chain.process_id + "_normalized",
+        sup_path_bound=(None if chain.sup_path_bound is None
+                        else chain.sup_path_bound / chain.sup_norm),
+    )
 
 
 def block_sum_dist_exact(chain: FiniteChain, start_state: int, m: int) -> dict:

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import weakdep
 from weakdep import flip_chain, make_coboundary
+from weakdep.bounds import MIN_TAIL_REPLICATES
 from weakdep.cli import CONFIG_DEFAULTS, _read_config, main
 from weakdep.processes import process_from_config, process_to_config, sample_path
 from weakdep.rng import holdout_seed
@@ -193,6 +194,19 @@ def test_shipped_configs_match_generator():
         assert (CONFIGS / name).read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_benchmark_tracer_targets_exist():
+    # The tracer wraps weakdep functions by name; a rename would leave a
+    # traced run without its layer.  The file is compiled from its text, so
+    # nothing is written under benchmarks/.
+    path = ROOT / "benchmarks" / "tracing.py"
+    tracing = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), tracing)
+    targets = [(module, fn) for module, fn, _ in tracing["TRACED"]] + tracing["MEMORY"]
+    for module, fn in targets:
+        assert callable(getattr(importlib.import_module(f"weakdep.{module}"), fn, None)), \
+            f"{module}.{fn}"
+
+
 @pytest.mark.parametrize("name, allowed", [
     (name, {"process", *CONFIG_DEFAULTS[table]})
     for name, table in [("bound_flip", "bound"), ("couple_flip", "couple"),
@@ -217,6 +231,17 @@ def test_shipped_degenerate_config_checks_the_path_bound(tmp_path):
     assert doc["config"]["process"]["sup_path_bound"] == 2.0
     assert doc["summary"]["zero_beyond"] == 100
     assert doc["summary"]["passed"] is True
+
+
+def test_degenerate_runs_on_its_default_replicates(tmp_path):
+    doc = json.loads((CONFIGS / "degenerate_flip.json").read_text())
+    del doc["replicates"]
+    out = tmp_path / "d"
+    result = CliRunner().invoke(main, ["degenerate", "--config", write_config(tmp_path, doc),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    echoed = json.loads((out / "summary.json").read_text())["config"]
+    assert echoed["replicates"] == MIN_TAIL_REPLICATES
 
 
 def _readme_default(value) -> str:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from weakdep import (TailModel, ThetaTable, build_finite_chain,
                      degenerate_moment_bound, flip_chain, make_coboundary,
-                     normalize_process, series_summary, sigma2_exact,
-                     symmetrization_check, symmetrize, theta_exact)
+                     series_summary, sigma2_exact, symmetrization_check,
+                     symmetrize, theta_exact)
 from weakdep.coefficients import (BudgetExceededError, alpha_inf4_exact,
                                   certified_contraction, partial_sum_variance,
                                   sigma2_certified, sigma2_extrapolated,
@@ -16,7 +16,8 @@ from weakdep.coefficients import (BudgetExceededError, alpha_inf4_exact,
                                   theta_truncation_bound)
 
 from _oracles import (alpha_brute_two_state, covariance_series_partial,
-                      random_lattice_chain, theta_brute, theta_exact_loop)
+                      normalize_process, random_lattice_chain, theta_brute,
+                      theta_exact_loop)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from weakdep.coupling import (VARIANTS, BudgetExceededError, _conditional_quanti
                               _couple_path, block_coupling_second_moment,
                               gaussian_quantile)
 from weakdep.processes import sample_chain_paths
-from weakdep.rng import substream
+from weakdep.rng import substream, substreams
 
 from _oracles import (block_dist_brute, block_sum_dist_exact, couple_path_loop,
                       random_lattice_chain)
@@ -191,39 +191,48 @@ def test_quantile_validation():
 # increment split
 # ---------------------------------------------------------------------------
 
-@given(st.floats(min_value=-50.0, max_value=50.0),
+def _increments(prefix):
+    return np.diff(prefix, axis=1, prepend=0.0)
+
+
+@given(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=4),
        st.integers(min_value=1, max_value=6),
        st.floats(min_value=0.1, max_value=9.0),
        st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40)
 def test_split_sums_exactly(v, m, sigma2, key):
-    inc = skorohod_split(v, m, sigma2, substream(key, 7, 1, 2))
-    assert len(inc) == 2 ** m
-    assert float(np.sum(inc)) == pytest.approx(v, rel=1e-12, abs=1e-12)
+    normals = np.stack([substream(key, 7, 1, 2 + k).standard_normal(2 ** m)
+                        for k in range(len(v))])
+    prefix = skorohod_split(np.array(v), normals, sigma2)
+    assert prefix.shape == (len(v), 2 ** m)
+    for total, want in zip(prefix[:, -1], v):
+        assert float(total) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_split_zero_total_antisymmetric():
-    inc = skorohod_split(0.0, 1, 1.0, substream(3, 7, 0, 0))
+    prefix = skorohod_split(np.zeros(1), substream(3, 7, 0, 0).standard_normal((1, 2)), 1.0)
+    inc = _increments(prefix)[0]
     assert inc[0] == pytest.approx(-inc[1], abs=1e-12)
 
 
 def test_split_marginals_gaussian_ks():
     sigma2 = 2.0
     m = 2
-    pooled = []
-    for b in range(2500):
-        gen = substream(11, 7, b, 0)
-        v = float(gen.normal(0.0, math.sqrt(sigma2 * 2 ** m)))
-        pooled.extend(skorohod_split(v, m, sigma2, gen))
-    stat = kstest(np.asarray(pooled), "norm", args=(0.0, math.sqrt(sigma2)))
+    v = np.empty(2500)
+    normals = np.empty((2500, 2 ** m))
+    for b, gen in enumerate(substreams(11, 7, ((b, 0) for b in range(2500)))):
+        v[b] = gen.normal(0.0, math.sqrt(sigma2 * 2 ** m))
+        gen.standard_normal(out=normals[b])
+    pooled = _increments(skorohod_split(v, normals, sigma2)).ravel()
+    stat = kstest(pooled, "norm", args=(0.0, math.sqrt(sigma2)))
     assert stat.pvalue > 0.01
 
 
 def test_split_validation():
     with pytest.raises(ValueError):
-        skorohod_split(1.0, 0, 1.0, substream(0, 7, 0, 0))
+        skorohod_split(np.ones(1), np.zeros((1, 1)), 1.0)
     with pytest.raises(ValueError):
-        skorohod_split(1.0, 2, 0.0, substream(0, 7, 0, 0))
+        skorohod_split(np.ones(1), np.zeros((1, 4)), 0.0)
 
 
 # ---------------------------------------------------------------------------

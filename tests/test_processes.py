@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import (build_finite_chain, flip_chain, make_coboundary,
-                     normalize_process, processes, sample_path, sigma2_exact,
-                     symmetrize)
+from weakdep import (build_finite_chain, flip_chain, make_coboundary, processes,
+                     sample_path, sigma2_exact, symmetrize)
 from weakdep.bounds import _chain_running_stats
 from weakdep.processes import (LsvObservable, LsvProcess,
                                _chain_states_from_uniforms, lsv_map,
@@ -17,7 +16,7 @@ from weakdep.processes import (LsvObservable, LsvProcess,
                                sample_lsv_ensemble)
 
 from _oracles import (chain_states_loop, lsv_map_expr, lsv_running_stats_per_n,
-                      random_lattice_chain)
+                      normalize_process, random_lattice_chain)
 
 
 def test_flip_chain_stationary_and_sup_norm():
