@@ -5,9 +5,9 @@ from .processes import (FiniteChain, LsvObservable, LsvProcess, SamplePath,
                         build_finite_chain, flip_chain, make_coboundary,
                         sample_path, symmetrize)
 from .coefficients import (SeriesSummary, TailModel, ThetaTable,
-                           alpha_inf4_exact, degenerate_moment_bound,
-                           series_summary, sigma2_exact, symmetrization_check,
-                           theta_exact, theta_table_from_chain)
+                           degenerate_moment_bound, series_summary,
+                           sigma2_exact, symmetrization_check, theta_exact,
+                           theta_table_from_chain)
 from .bounds import (ConstantsFit, FukNagaevParams, TailEstimate,
                      degenerate_moment_check, empirical_tail, fit_constants,
                      fuk_nagaev_rhs, series_convergence_check, tail_grid,

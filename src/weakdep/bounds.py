@@ -289,9 +289,10 @@ def _envelope_constraints(grid, ests, summary, mesh: int = 7):
 def fit_constants(process, grid, replicates: int, seed: int, *,
                   summary: SeriesSummary,
                   search_box: tuple[float, float] = (1e-3, 1e6),
-                  points_per_decade: int = 8, statistic: str = "max") -> ConstantsFit:
-    """Smallest constants on a log lattice whose bound dominates the
-    empirical tail curve over the training grid.
+                  statistic: str = "max") -> ConstantsFit:
+    """Smallest constants on a log lattice (8 points per decade of
+    ``search_box``) whose bound dominates the empirical tail curve over the
+    training grid.
 
     Dominance is required at every grid point (rhs >= ci_high) and, through
     the monotonicity of the tail in x, across each gap between adjacent
@@ -317,7 +318,7 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
 
     lo, hi = search_box
     decades = math.log10(hi) - math.log10(lo)
-    candidates = np.geomspace(lo, hi, int(round(points_per_decade * decades)) + 1)
+    candidates = np.geomspace(lo, hi, int(round(8 * decades)) + 1)
 
     best = None
     gaussian_active = bool(np.any(a > 0))
@@ -430,20 +431,20 @@ def series_convergence_check(samples, alpha: float, p: float, epsilon: float,
     return {"rows": rows, "decays": bool(last < first or last == 0.0)}
 
 
-def degenerate_moment_check(process: FiniteChain, q: float, samples, *,
-                            r: float = 2.0, p_decay: float = 4.0,
-                            theta_horizon: int = 40) -> dict:
+def degenerate_moment_check(process: FiniteChain, q: float, samples) -> dict:
     """Monte Carlo moments of a degenerate process against the analytic bound.
 
     Verifies degeneracy (``is_degenerate``), computes E|S_n|^q per sample
     with a normal-approximation interval, compares with the lag-weighted
-    moment bound, and tracks ||S_n^*||_r (two-sided maximum) against C n^{r/p}
-    anchored at the first sample's n.
+    moment bound (theta_{1,1} tabulated to lag 40), and tracks ||S_n^*||_r
+    (two-sided maximum, r = 2) against C n^{1/p} (p = 4) anchored at the
+    first sample's n.
     """
     if not is_degenerate(process):
         raise ValueError("process not degenerate")
+    r, p_decay = 2.0, 4.0
     sig = sigma2_exact(process)
-    table = certified_theta_table(process, 1, 1, theta_horizon)
+    table = certified_theta_table(process, 1, 1, 40)
     bound = degenerate_moment_bound(process.sup_norm, q, table)
 
     rows = []

@@ -85,6 +85,16 @@ def _read_config(path: str, command: str, seed: int | None = None) -> dict:
     return settings
 
 
+def _require_chain(process, command: str) -> None:
+    """Refuse, in one line and before anything runs, a process the command
+    cannot run on: anything but a finite chain, and for `couple run` a chain
+    whose certified sigma2 interval reaches 0 (the check `rates` makes)."""
+    if not isinstance(process, FiniteChain):
+        raise click.ClickException(f"{command} requires a finite_chain process")
+    if command == "couple run" and coef.is_degenerate(process):
+        raise click.ClickException("degenerate process: use the degenerate pipeline")
+
+
 def _emit(out_dir: str, settings: dict, summary: dict, tables: dict, **options) -> None:
     """Write the report of a run.  Its config echo is the one rule for every
     command: each setting, processes as built, plus the command's own options;
@@ -120,18 +130,16 @@ def coeffs(config_path, out_dir, p, q, horizon):
     """Exact dependence coefficients and series summary for a chain config."""
     settings = _read_config(config_path, "coeffs")
     process = settings["process"]
-    if not isinstance(process, FiniteChain):
-        raise click.ClickException("coeffs requires a finite_chain process")
+    _require_chain(process, "coeffs")
     table = coef.certified_theta_table(process, p, q, horizon)
     sigma2 = coef.sigma2_exact(process)
     summary = coef.series_summary(table, sigma2=sigma2)
-    os.makedirs(out_dir, exist_ok=True)
-    coef.theta_table_to_csv(table, os.path.join(out_dir, "theta_table.csv"))
     rows = [{"k": k, "value": float(v)} for k, v in enumerate(table.values)]
     _emit(out_dir, settings,
           {"sigma2": sigma2, "theta1": summary.theta1, "theta2": summary.theta2,
            "tail_rate": table.tail.rate,
-           "truncation_bound": coef.theta_truncation_bound(process, p, 12)},
+           "truncation_bound": coef.theta_truncation_bound(process, p,
+                                                           coef.TUPLE_HORIZON)},
           {"theta": rows}, p=p, q=q, horizon=horizon)
     click.echo(f"sigma2={sigma2!r} theta1={summary.theta1!r} theta2={summary.theta2!r}")
 
@@ -144,6 +152,7 @@ def bound():
 def _bound_setup(settings, holdout: bool):
     """(process, chain summary, tail grid) of a bound config's settings."""
     process = settings["process"]
+    _require_chain(process, "bound check" if holdout else "bound fit")
     summary = coef.summarize_chain(process, horizon=int(settings["theta_horizon"]))
     grid = bnd.tail_grid(settings["grid_n"], int(settings["points_per_n"]),
                          process.sup_norm, holdout=holdout)
@@ -194,6 +203,7 @@ def couple_run(config_path, seed, out_dir):
     """Build one coupled path and emit per-level statistics plus the path CSV."""
     settings = _read_config(config_path, "couple", seed)
     process = settings["process"]
+    _require_chain(process, "couple run")
     n = int(settings["n"])
     c_fit = float(settings["c_fit"])
     schedule = cpl.make_schedule(n.bit_length() - 2, float(settings["p"]),

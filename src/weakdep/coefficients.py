@@ -6,9 +6,9 @@ weak-dependence coefficients defined through conditional L1 norms are exact
 finite computations: matrix powers for conditional expectations and a sup
 over enumerated exponent vectors and index tuples.
 
-The index-tuple sup is truncated at ``tuple_horizon``; the truncation error
-is geometrically small for chains with a spectral gap and can be bounded via
-:func:`theta_truncation_bound`.
+The index-tuple sup is truncated at ``tuple_horizon`` (``TUPLE_HORIZON`` by
+default); the truncation error is geometrically small for chains with a
+spectral gap and can be bounded via :func:`theta_truncation_bound`.
 
 All exact theta values come from one pattern table, ``_theta_lags``: the
 vector of each gap pattern k_i - k_1 (with its exponents) is built once and
@@ -16,6 +16,10 @@ moved to every start k_1 by stacked powers of P, and theta(k) is a
 sliding-window max over starts (see :func:`theta_exact`).  A table
 theta(0..K) is thus one pass over the patterns, not K + 1 enumerations of
 every tuple.
+
+sigma2 is the covariance series with a certified radius; that interval is
+the one degeneracy decision (:func:`is_degenerate`).  Cross-checks no pipeline
+reads (strong mixing of order 4, Var(S_n)/n extrapolation) are test oracles.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from scipy.special import zeta
 from .processes import FiniteChain, symmetrize
 
 TUPLE_BUDGET = 10**7
+# Index tuples span at most this many steps beyond their first index.
+TUPLE_HORIZON = 12
 
 
 class BudgetExceededError(RuntimeError):
@@ -115,7 +121,7 @@ def _theta_lags(chain: FiniteChain, p: int, q: int, k_lo: int, k_hi: int,
 
 
 def theta_exact(chain: FiniteChain, p: int, q: int, k: int,
-                tuple_horizon: int = 12) -> float:
+                tuple_horizon: int = TUPLE_HORIZON) -> float:
     """Conditional-moment dependence coefficient at lag k, computed exactly.
 
     Sup over exponent vectors (a_1..a_p), a_1 >= 1, sum <= q, and index
@@ -144,43 +150,6 @@ def theta_truncation_bound(chain: FiniteChain, p: int, tuple_horizon: int) -> fl
     return p * theta_exact(chain, 1, 1, tuple_horizon, tuple_horizon=0)
 
 
-def alpha_inf4_exact(chain: FiniteChain, k: int, tuple_horizon: int = 8) -> float:
-    """Strong mixing coefficient of order 4 against the time-0 state, exact.
-
-    For each index tuple the sup over past events and future events reduces
-    to a max over subsets of time-0 states (at most 2^S of them) with, per
-    subset, an independent optimal choice of each future atom: the atoms
-    where the signed mass is positive.  Exact and linear in atom count.
-    """
-    if chain.n_states > 8:
-        raise BudgetExceededError("alpha_inf4_exact supports at most 8 states")
-    if k < 0 or tuple_horizon < 3:
-        raise ValueError("need k >= 0 and tuple_horizon >= 3")
-    n_tuples = math.comb(tuple_horizon + 1, 4)
-    s = chain.n_states
-    if n_tuples * (2 ** s) * (s ** 4) > 10**9:
-        raise BudgetExceededError("event budget exceeded; reduce tuple_horizon")
-
-    pi = chain.stationary
-    powers = _transition_powers(chain, k + tuple_horizon)
-    masks = np.array([[(t >> i) & 1 for i in range(s)]
-                      for t in range(2 ** s)], dtype=float)
-
-    best = 0.0
-    for i1, i2, i3, i4 in combinations(range(k, k + tuple_horizon + 1), 4):
-        a1 = powers[i1]
-        g12, g23, g34 = powers[i2 - i1], powers[i3 - i2], powers[i4 - i3]
-        # q[s0, t1, t2, t3, t4]: conditional atom probabilities
-        qq = np.einsum("ab,bc,cd,de->abcde", a1, g12, g23, g34)
-        mm = np.einsum("b,bc,cd,de->bcde", pi, g12, g23, g34)
-        m_flat = (pi[:, None] * (qq - mm[None]).reshape(s, -1))
-        rows = masks @ m_flat                       # (2^s, atoms)
-        val = float(np.max(np.sum(np.maximum(rows, 0.0), axis=1)))
-        if val > best:
-            best = val
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Covariance series
 # ---------------------------------------------------------------------------
@@ -207,13 +176,14 @@ def certified_contraction(chain: FiniteChain, max_power: int = 64,
     raise ValueError("no spectral gap (periodic chain)")
 
 
-def sigma2_certified(chain: FiniteChain, radius_target: float = 1e-10,
-                     max_terms: int = 200_000) -> tuple[float, float]:
+def sigma2_certified(chain: FiniteChain,
+                     radius_target: float = 1e-10) -> tuple[float, float]:
     """Covariance series E X0^2 + 2 sum_k E X0 X_k with a certified tail.
 
     Terms are summed until the remainder, bounded through the Dobrushin
     contraction of a fixed power of the kernel and the monotone span of
-    P^k f, is below `radius_target`.  Returns (midpoint, radius).
+    P^k f, is below `radius_target`; a series that has not certified after
+    200 000 terms is refused.  Returns (midpoint, radius).
     """
     r, delta = certified_contraction(chain)
     pi, p, f = chain.stationary, chain.transition, chain.observable
@@ -232,7 +202,7 @@ def sigma2_certified(chain: FiniteChain, radius_target: float = 1e-10,
         fuzz = 1e-14 * k * (1.0 + abs(total))
         if tail + fuzz <= radius_target:
             return total, tail + fuzz
-        if k >= max_terms:
+        if k >= 200_000:
             raise ValueError("covariance series tail did not certify; "
                              "spectral gap too weak")
 
@@ -251,30 +221,6 @@ def is_degenerate(chain: FiniteChain) -> bool:
     """
     mid, radius = sigma2_certified(chain)
     return mid - radius <= 0.0
-
-
-def partial_sum_variance(chain: FiniteChain, n: int) -> float:
-    """Var(S_n), by a forward first/second-moment recursion over end states.
-
-    Independent of the covariance-series route: tracks A_j(t) = E[S_j^2;
-    xi_j = t] and B_j(t) = E[S_j; xi_j = t] step by step.
-    """
-    p, pi, f = chain.transition, chain.stationary, chain.observable
-    b = f * pi
-    a = f * f * pi
-    for _ in range(n - 1):
-        bp = b @ p
-        a = a @ p + 2.0 * f * bp + f * f * pi
-        b = bp + f * pi
-    mean = float(b.sum())
-    return float(a.sum()) - mean * mean
-
-
-def sigma2_extrapolated(chain: FiniteChain, n: int = 2**16) -> float:
-    """Richardson extrapolation in 1/n of Var(S_n)/n at n/2 and n."""
-    v_half = partial_sum_variance(chain, n // 2) / (n // 2)
-    v_full = partial_sum_variance(chain, n) / n
-    return 2.0 * v_full - v_half
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +289,8 @@ class ThetaTable:
 
 
 def theta_table_from_chain(chain: FiniteChain, p: int, q: int, horizon: int,
-                           tail: TailModel, tuple_horizon: int = 12) -> ThetaTable:
+                           tail: TailModel,
+                           tuple_horizon: int = TUPLE_HORIZON) -> ThetaTable:
     """Tabulate theta(0..horizon) exactly, in one pass of the pattern table
     over every lag; the tail model is caller-declared."""
     vals = _theta_lags(chain, p, q, 0, horizon, tuple_horizon)
@@ -448,20 +395,19 @@ def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSumm
                          weighted=weighted, sigma2=sigma2)
 
 
-def certified_theta_table(chain: FiniteChain, p: int, q: int, horizon: int,
-                          tuple_horizon: int = 12) -> ThetaTable:
+def certified_theta_table(chain: FiniteChain, p: int, q: int,
+                          horizon: int) -> ThetaTable:
     """Exact theta(0..horizon) with a geometric tail at the rate delta^(1/r)
     of the certified contraction (r, delta), capped just below 1."""
     r, delta = certified_contraction(chain)
     tail = TailModel("geometric", rate=min(0.999999, delta ** (1.0 / r)))
-    return theta_table_from_chain(chain, p, q, horizon, tail, tuple_horizon=tuple_horizon)
+    return theta_table_from_chain(chain, p, q, horizon, tail)
 
 
-def summarize_chain(chain: FiniteChain, p: int = 4, q: int = 4, horizon: int = 16,
-                    tuple_horizon: int = 12) -> SeriesSummary:
-    """Series summary of a chain: exact table, certified geometric tail, and
-    the certified covariance series."""
-    table = certified_theta_table(chain, p, q, horizon, tuple_horizon=tuple_horizon)
+def summarize_chain(chain: FiniteChain, horizon: int = 16) -> SeriesSummary:
+    """Series summary of a chain: exact theta_{4,4} table, certified geometric
+    tail, and the certified covariance series."""
+    table = certified_theta_table(chain, 4, 4, horizon)
     return series_summary(table, sigma2=sigma2_exact(chain))
 
 
@@ -486,16 +432,16 @@ def symmetrization_check(chain: FiniteChain, p: int, q: int, k: int,
     return theta_z, bound
 
 
-def degenerate_moment_bound(m_sup: float, q: float, table: ThetaTable,
-                            numeric_horizon: int = 10**6) -> float:
+def degenerate_moment_bound(m_sup: float, q: float, table: ThetaTable) -> float:
     """Moment bound q (2M)^q sum_{k>=0} (k+1)^{q-1} theta(k) for degenerate sums.
 
-    Tail terms beyond the table are summed numerically under the declared
-    model with a certified upper remainder; divergent declared tails give
-    +inf.
+    Tail terms beyond the table are summed numerically, up to lag 10^6, under
+    the declared model with a certified upper remainder; divergent declared
+    tails give +inf.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    numeric_horizon = 10**6
     v = table.values
     kk = np.arange(len(v), dtype=float)
     total = float(((kk + 1.0) ** (q - 1.0) * v).sum())
@@ -526,28 +472,3 @@ def degenerate_moment_bound(m_sup: float, q: float, table: ThetaTable,
         total += (c * 2.0 ** (q - 1.0)
                   * numeric_horizon ** (q - pe + 1.0) / (pe - 1.0 - q))
     return q * (2.0 * m_sup) ** q * total
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def theta_table_to_csv(table: ThetaTable, file) -> None:
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "w") if own else file
-    try:
-        fh.write(f"# kind: theta p={table.p} q={table.q}\n")
-        t = table.tail
-        if t.kind == "geometric":
-            fh.write(f"# tail: geometric rate={t.rate!r}\n")
-        elif t.kind == "polynomial":
-            fh.write(f"# tail: polynomial coefficient={t.coefficient!r} "
-                     f"p_exponent={t.p_exponent!r}\n")
-        else:
-            fh.write("# tail: zero\n")
-        fh.write("k,value\n")
-        for k, val in enumerate(table.values):
-            fh.write(f"{k},{float(val)!r}\n")
-    finally:
-        if own:
-            fh.close()

@@ -138,8 +138,6 @@ class BlockDist:
     cdf: np.ndarray
     step: float | None = None
     sums_int: np.ndarray | None = None
-    start_state: int | None = None
-    length: int = 1
     end_state_probs: np.ndarray | None = None   # (atoms, n_states) joint mass
 
     @classmethod
@@ -216,8 +214,6 @@ def block_sum_dist(chain: FiniteChain, start_state: int, m: int) -> BlockDist:
         cdf=np.cumsum(probs),
         step=chain.step,
         sums_int=sums_int.astype(np.int64),
-        start_state=start_state,
-        length=2 ** m,
         end_state_probs=joint[mask],
     )
 

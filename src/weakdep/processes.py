@@ -343,14 +343,6 @@ class SamplePath:
     def n(self) -> int:
         return len(self.values)
 
-    @property
-    def running_max(self) -> np.ndarray:
-        """One-sided running maximum max_{j<=k} S_j, k = 0..n."""
-        return np.maximum.accumulate(self.partial_sums)
-
-    def max_abs_partial_sum(self) -> float:
-        return float(np.max(np.abs(self.partial_sums)))
-
 
 def path_uniforms(seed: int, n: int, replicates: Sequence[int]) -> np.ndarray:
     """Uniforms (r, n+1) from the path substreams of the given replicates."""

@@ -8,7 +8,9 @@ Reference kernels (the chain stepper, the coupling loop with its scalar
 increment split, the LSV map and its per-n orbit loop) keep the loops that
 faster kernels replaced, ``philox_substream`` builds a fresh generator for
 each substream address, and ``random_lattice_chain`` draws the chains they
-are compared on.
+are compared on.  ``alpha_inf4_exact`` (strong mixing of order 4) and the
+variance-rate route to sigma2 (``partial_sum_variance``,
+``sigma2_extrapolated``) are exact cross-checks that no pipeline reads.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
-from weakdep.coefficients import BudgetExceededError
+from weakdep.coefficients import BudgetExceededError, _transition_powers
 from weakdep.coupling import block_sum_dist
 from weakdep.processes import FiniteChain
 from weakdep.rng import block_stream, path_stream
@@ -385,3 +387,64 @@ def block_sum_dist_exact(chain: FiniteChain, start_state: int, m: int) -> dict:
             out[a] = acc
         t = out
     return t[start_state]
+
+
+def alpha_inf4_exact(chain: FiniteChain, k: int, tuple_horizon: int = 8) -> float:
+    """Strong mixing coefficient of order 4 against the time-0 state, exact.
+
+    For each index tuple the sup over past events and future events reduces
+    to a max over subsets of time-0 states (at most 2^S of them) with, per
+    subset, an independent optimal choice of each future atom: the atoms
+    where the signed mass is positive.  Exact and linear in atom count.
+    """
+    if chain.n_states > 8:
+        raise BudgetExceededError("alpha_inf4_exact supports at most 8 states")
+    if k < 0 or tuple_horizon < 3:
+        raise ValueError("need k >= 0 and tuple_horizon >= 3")
+    n_tuples = math.comb(tuple_horizon + 1, 4)
+    s = chain.n_states
+    if n_tuples * (2 ** s) * (s ** 4) > 10**9:
+        raise BudgetExceededError("event budget exceeded; reduce tuple_horizon")
+
+    pi = chain.stationary
+    powers = _transition_powers(chain, k + tuple_horizon)
+    masks = np.array([[(t >> i) & 1 for i in range(s)]
+                      for t in range(2 ** s)], dtype=float)
+
+    best = 0.0
+    for i1, i2, i3, i4 in combinations(range(k, k + tuple_horizon + 1), 4):
+        a1 = powers[i1]
+        g12, g23, g34 = powers[i2 - i1], powers[i3 - i2], powers[i4 - i3]
+        # q[s0, t1, t2, t3, t4]: conditional atom probabilities
+        qq = np.einsum("ab,bc,cd,de->abcde", a1, g12, g23, g34)
+        mm = np.einsum("b,bc,cd,de->bcde", pi, g12, g23, g34)
+        m_flat = (pi[:, None] * (qq - mm[None]).reshape(s, -1))
+        rows = masks @ m_flat                       # (2^s, atoms)
+        val = float(np.max(np.sum(np.maximum(rows, 0.0), axis=1)))
+        if val > best:
+            best = val
+    return best
+
+
+def partial_sum_variance(chain: FiniteChain, n: int) -> float:
+    """Var(S_n), by a forward first/second-moment recursion over end states.
+
+    Independent of the covariance-series route: tracks A_j(t) = E[S_j^2;
+    xi_j = t] and B_j(t) = E[S_j; xi_j = t] step by step.
+    """
+    p, pi, f = chain.transition, chain.stationary, chain.observable
+    b = f * pi
+    a = f * f * pi
+    for _ in range(n - 1):
+        bp = b @ p
+        a = a @ p + 2.0 * f * bp + f * f * pi
+        b = bp + f * pi
+    mean = float(b.sum())
+    return float(a.sum()) - mean * mean
+
+
+def sigma2_extrapolated(chain: FiniteChain, n: int = 2**16) -> float:
+    """Richardson extrapolation in 1/n of Var(S_n)/n at n/2 and n."""
+    v_half = partial_sum_variance(chain, n // 2) / (n // 2)
+    v_full = partial_sum_variance(chain, n) / n
+    return 2.0 * v_full - v_half

@@ -22,14 +22,13 @@ from weakdep import (ExperimentConfig, build_finite_chain, donsker_wasserstein,
                      theta_exact)
 from weakdep.bounds import (fit_constants, params_from_summary, tail_grid,
                             validate_constants)
-from weakdep.coefficients import (TailModel, ThetaTable, sigma2_extrapolated,
-                                  summarize_chain)
+from weakdep.coefficients import TailModel, ThetaTable, summarize_chain
 from weakdep.coupling import (block_coupling_second_moment, build_coupling,
                               coupling_errors)
 from weakdep.cli import main
 from weakdep.processes import process_to_config, symmetrize
 
-from _oracles import block_sum_dist_exact, theta_brute
+from _oracles import block_sum_dist_exact, sigma2_extrapolated, theta_brute
 
 pytestmark = pytest.mark.acceptance
 

@@ -14,6 +14,7 @@ import weakdep
 from weakdep import flip_chain, make_coboundary
 from weakdep.bounds import MIN_TAIL_REPLICATES
 from weakdep.cli import CONFIG_DEFAULTS, _read_config, main
+from weakdep.coefficients import certified_theta_table
 from weakdep.processes import process_from_config, process_to_config, sample_path
 from weakdep.rng import holdout_seed
 
@@ -47,8 +48,11 @@ def test_coeffs_command(tmp_path, chain_doc):
     summary = json.loads((out / "summary.json").read_text())
     assert "seed" not in summary["config"]
     assert summary["summary"]["sigma2"] == pytest.approx(3.0, abs=1e-8)
-    assert (out / "theta_table.csv").exists()
-    assert (out / "theta.csv").exists()
+    assert not (out / "theta_table.csv").exists()
+    header, *rows = (out / "theta.csv").read_text().splitlines()
+    assert header == "k,value"
+    table = certified_theta_table(process_from_config(chain_doc), 4, 4, 8)
+    assert [row.split(",")[1] for row in rows] == [repr(float(v)) for v in table.values]
 
 
 def test_coeffs_echoes_the_process(tmp_path, chain_doc):
@@ -153,6 +157,25 @@ def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    (["bound", "fit"], {"process": LSV, "grid_n": [32], "points_per_n": 1},
+     "bound fit requires a finite_chain process"),
+    (["bound", "check", "--c1", "1.0", "--c2", "1.0"],
+     {"process": LSV, "grid_n": [32], "points_per_n": 1},
+     "bound check requires a finite_chain process"),
+    (["couple", "run"], {"process": LSV, "n": 256}, "couple run requires a finite_chain process"),
+    (["couple", "run"], {"process": COBOUNDARY, "n": 256},
+     "degenerate process: use the degenerate pipeline"),
+], ids=["bound-fit-lsv", "bound-check-lsv", "couple-run-lsv", "couple-run-degenerate"])
+def test_command_refuses_process(tmp_path, command, doc, message):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
+                                                 "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, doc, unread", [
     ("degenerate", {"process": COBOUNDARY, "tolerance": 0.5}, "tolerance"),
     ("degenerate", {"process": COBOUNDARY, "variant": "inflated"}, "variant"),
@@ -242,6 +265,17 @@ def test_degenerate_runs_on_its_default_replicates(tmp_path):
     assert result.exit_code == 0, result.output
     echoed = json.loads((out / "summary.json").read_text())["config"]
     assert echoed["replicates"] == MIN_TAIL_REPLICATES
+
+
+def test_readme_tour_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Library tour"):text.index("## CLI")]
+    code = section.split("```python\n")[1].split("```")[0]
+    for big, small in (("100_000", "2_000"), ("range(10, 18)", "range(10, 13)"),
+                       ("replicates=64", "replicates=16")):
+        assert big in code
+        code = code.replace(big, small)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def _readme_default(value) -> str:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,15 +10,15 @@ from weakdep import (TailModel, ThetaTable, build_finite_chain,
                      degenerate_moment_bound, flip_chain, make_coboundary,
                      series_summary, sigma2_exact, symmetrization_check,
                      symmetrize, theta_exact)
-from weakdep.coefficients import (BudgetExceededError, alpha_inf4_exact,
-                                  certified_contraction, partial_sum_variance,
-                                  sigma2_certified, sigma2_extrapolated,
-                                  theta_table_from_chain, theta_table_to_csv,
+from weakdep.coefficients import (BudgetExceededError, certified_contraction,
+                                  sigma2_certified, theta_table_from_chain,
                                   theta_truncation_bound)
+from weakdep.processes import process_to_config
 
-from _oracles import (alpha_brute_two_state, covariance_series_partial,
-                      normalize_process, random_lattice_chain, theta_brute,
-                      theta_exact_loop)
+from _oracles import (alpha_brute_two_state, alpha_inf4_exact,
+                      covariance_series_partial, normalize_process,
+                      partial_sum_variance, random_lattice_chain,
+                      sigma2_extrapolated, theta_brute, theta_exact_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +293,23 @@ def test_theta_table_from_chain_and_csv(tmp_path, flip25):
     table = theta_table_from_chain(flip25, 1, 1, 6, TailModel("geometric", rate=0.5))
     assert np.allclose(table.values, 0.5 ** np.arange(7), atol=1e-12)
     assert table.theta_at(9) == pytest.approx(0.5 ** 9, rel=1e-10)
-    out = tmp_path / "theta.csv"
-    theta_table_to_csv(table, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# kind: theta")
-    assert "geometric" in lines[1]
-    assert lines[2] == "k,value"
-    k, v = lines[3].split(",")
+    # The table's CSV is the one `coeffs` writes; p, q and the tail rate are
+    # in its summary.json.
+    from click.testing import CliRunner
+
+    from weakdep.cli import main
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"process": process_to_config(flip25)}))
+    result = CliRunner().invoke(main, ["coeffs", "--config", str(cfg), "--out", str(tmp_path),
+                                       "--p", "1", "--q", "1", "--horizon", "6"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert (doc["config"]["p"], doc["config"]["q"]) == (1, 1)
+    assert doc["summary"]["tail_rate"] == table.tail.rate
+    lines = (tmp_path / "theta.csv").read_text().splitlines()
+    assert lines[0] == "k,value"
+    k, v = lines[1].split(",")
     assert (k, float(v)) == ("0", 1.0)
 
 

@@ -79,8 +79,6 @@ def test_partial_sum_consistency_exact(flip25):
     assert np.array_equal(np.diff(path.sums_int), path.values_int)
     assert np.array_equal(path.partial_sums, path.sums_int * flip25.step)
     assert np.all(np.abs(path.values) <= flip25.sup_norm)
-    assert np.array_equal(path.running_max,
-                          np.maximum.accumulate(path.partial_sums))
 
 
 def test_empirical_mean_inside_clt_band(flip25):
@@ -308,7 +306,7 @@ def test_coboundary_centered_and_bounded(flip25):
 def test_coboundary_telescoping_paths_bounded(flip25):
     chain = make_coboundary(flip25, [1.0, -1.0])
     path = sample_path(chain, 2000, seed=21)
-    assert path.max_abs_partial_sum() <= chain.sup_path_bound + 1e-12
+    assert np.max(np.abs(path.partial_sums)) <= chain.sup_path_bound + 1e-12
 
 
 def test_coboundary_mean_abs_sum_stable(flip25):
