@@ -94,9 +94,9 @@ def params_from_summary(summary: SeriesSummary, n: int, x: float,
 # Monte Carlo path statistics
 # ---------------------------------------------------------------------------
 
-def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval."""
-    a = (1.0 - level) / 2.0
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact binomial 95 % confidence interval."""
+    a = (1.0 - 0.95) / 2.0
     if successes == 0:
         lo = 0.0
     else:
@@ -176,10 +176,6 @@ class TailEstimate:
     p_hat: float
     ci_low: float
     ci_high: float
-    replicates: int
-    n: int
-    x: float
-    statistic: str = "max"
 
     def __post_init__(self):
         if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
@@ -206,8 +202,7 @@ def empirical_tail(sample: TailSample, x: float, statistic: str = "max") -> Tail
     else:
         hits = int(np.count_nonzero(stat >= x))
     lo, hi = clopper_pearson(hits, replicates)
-    return TailEstimate(p_hat=hits / replicates, ci_low=lo, ci_high=hi,
-                        replicates=replicates, n=sample.n, x=x, statistic=statistic)
+    return TailEstimate(p_hat=hits / replicates, ci_low=lo, ci_high=hi)
 
 
 def _samples_by_n(process, grid, replicates: int, seed: int) -> dict[int, TailSample]:
@@ -261,8 +256,9 @@ def _grid_terms(summary: SeriesSummary, grid) -> tuple[np.ndarray, np.ndarray]:
     return terms[:, 0], terms[:, 1]
 
 
-def _envelope_constraints(grid, ests, summary, mesh: int = 7):
-    """Interior dominance constraints between adjacent training x at fixed n.
+def _envelope_constraints(grid, ests, summary):
+    """Interior dominance constraints between adjacent training x at fixed n,
+    at five log-spaced points inside each gap.
 
     The true tail is nonincreasing in x, so between anchors it stays below
     the left anchor's upper confidence limit; a noise allowance covers the
@@ -278,7 +274,7 @@ def _envelope_constraints(grid, ests, summary, mesh: int = 7):
             width = est_l.ci_high - est_l.ci_low
             pad = 1.0 + min(0.5, 2.0 * width / max(est_l.p_hat, width, 1e-300))
             target = est_l.ci_high * pad
-            xs = np.geomspace(x_l, x_r, mesh)[1:-1]
+            xs = np.geomspace(x_l, x_r, 7)[1:-1]
             a, b = _grid_terms(summary, [(n, float(x)) for x in xs])
             rows_a.extend(a)
             rows_b.extend(b)
@@ -464,5 +460,4 @@ def degenerate_moment_check(process: FiniteChain, q: float, samples) -> dict:
     c_ref = anchor["sup_norm_r"] / anchor["n"] ** (1.0 / p_decay)
     for row in rows:
         row["sup_reference"] = c_ref * row["n"] ** (1.0 / p_decay)
-    return {"rows": rows, "bound": bound, "q": q, "r": r, "p_decay": p_decay,
-            "sigma2": sig}
+    return {"rows": rows, "bound": bound, "sigma2": sig}

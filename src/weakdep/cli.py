@@ -36,8 +36,7 @@ def _experiment_keys(*names) -> dict:
     return {name: fields[name] for name in names}
 
 
-_RATE_KEYS = ("n_list", "replicates", "seed", "variant", "p", "epsilon", "c_fit",
-              "tolerance")
+_RATE_KEYS = ("n_list", "replicates", "seed", "variant", "p", "epsilon", "tolerance")
 
 # Per config table: the keys allowed besides "process", with their defaults.
 # A key whose default is dataclasses.MISSING (n_list) is required.  `rates`
@@ -46,7 +45,8 @@ CONFIG_DEFAULTS = {
     "coeffs": {},
     "bound": {"grid_n": [256, 512, 1024], "points_per_n": 4, "replicates": 20000,
               "seed": 0, "theta_horizon": 16},
-    "couple": {"n": 4096, **_experiment_keys("seed", "p", "variant", "epsilon", "c_fit")},
+    "couple": {"n": 4096, **_experiment_keys("seed", "p", "variant", "epsilon"),
+               "c_fit": 1.0},
     "export-path": {"seed": 0},
     "rates": _experiment_keys(*_RATE_KEYS),
     "rates-lsv": _experiment_keys(*(k for k in _RATE_KEYS if k != "p"), "surrogate"),
@@ -203,10 +203,12 @@ def couple_run(config_path, seed, out_dir):
     """Build one coupled path and emit per-level statistics plus the path CSV."""
     settings = _read_config(config_path, "couple", seed)
     process = settings["process"]
-    _require_chain(process, "couple run")
     n = int(settings["n"])
+    if not cpl.is_dyadic(n):
+        raise click.ClickException("n must be a power of two, >= 8")
+    _require_chain(process, "couple run")
     c_fit = float(settings["c_fit"])
-    schedule = cpl.make_schedule(n.bit_length() - 2, float(settings["p"]),
+    schedule = cpl.make_schedule(cpl.top_level(n), float(settings["p"]),
                                  settings["variant"],
                                  epsilon=float(settings["epsilon"]), c_fit=c_fit)
     sigma2 = coef.sigma2_exact(process)

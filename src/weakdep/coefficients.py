@@ -160,9 +160,9 @@ def dobrushin_coefficient(p: np.ndarray) -> float:
     return 0.5 * float(diffs.max())
 
 
-def certified_contraction(chain: FiniteChain, max_power: int = 64,
-                          threshold: float = 0.999) -> tuple[int, float]:
-    """Smallest power r with Dobrushin coefficient of P^r below `threshold`.
+def certified_contraction(chain: FiniteChain, max_power: int = 64) -> tuple[int, float]:
+    """Smallest power r <= max_power with Dobrushin coefficient delta of P^r
+    at most 0.999; returns (r, delta).
 
     Raises for chains without a spectral gap (periodic or with several
     closed classes the builder could not reject).
@@ -171,7 +171,7 @@ def certified_contraction(chain: FiniteChain, max_power: int = 64,
     for r in range(1, max_power + 1):
         power = power @ chain.transition
         delta = dobrushin_coefficient(power)
-        if delta <= threshold:
+        if delta <= 0.999:
             return r, delta
     raise ValueError("no spectral gap (periodic chain)")
 
@@ -256,8 +256,6 @@ class ThetaTable:
 
     values: np.ndarray
     tail: TailModel
-    p: int | None = None
-    q: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -295,7 +293,7 @@ def theta_table_from_chain(chain: FiniteChain, p: int, q: int, horizon: int,
     over every lag; the tail model is caller-declared."""
     vals = _theta_lags(chain, p, q, 0, horizon, tuple_horizon)
     vals = np.minimum.accumulate(vals)  # crush 1e-16 enumeration noise
-    return ThetaTable(values=vals, tail=tail, p=p, q=q)
+    return ThetaTable(values=vals, tail=tail)
 
 
 # Geometric tail helpers, all shifted to a starting index a:

@@ -57,16 +57,22 @@ def gaussian_quantile(p):
 VARIANTS = ("balanced", "inflated", "log_inflated")
 
 
+def is_dyadic(n: int) -> bool:
+    """Whether a coupled path can have length n: a power of two >= 8."""
+    return n >= 8 and n & (n - 1) == 0
+
+
+def top_level(n: int) -> int:
+    """Top dyadic level N of a coupled path of length n = 2^(N+1)."""
+    return n.bit_length() - 2
+
+
 @dataclass(frozen=True)
 class CouplingSchedule:
     """Per-level block exponents m(L) and thresholds for levels L = 0..N."""
 
     levels: np.ndarray
     m: np.ndarray
-    variant: str
-    p: float
-    epsilon: float
-    c_fit: float
     lambdas: np.ndarray
 
     @property
@@ -117,8 +123,7 @@ def make_schedule(big_n: int, p: float, variant: str = "balanced",
         m[level] = min(max(int(math.floor(raw)), 0), level)
     kappa = math.sqrt(2.0 * c_fit * math.log(2.0))
     lambdas = kappa * np.exp2(m / 2.0) * np.sqrt(levels.astype(float))
-    return CouplingSchedule(levels=levels, m=m, variant=variant, p=p,
-                            epsilon=epsilon, c_fit=c_fit, lambdas=lambdas)
+    return CouplingSchedule(levels=levels, m=m, lambdas=lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +141,6 @@ class BlockDist:
     values: np.ndarray
     probs: np.ndarray
     cdf: np.ndarray
-    step: float | None = None
     sums_int: np.ndarray | None = None
     end_state_probs: np.ndarray | None = None   # (atoms, n_states) joint mass
 
@@ -212,7 +216,6 @@ def block_sum_dist(chain: FiniteChain, start_state: int, m: int) -> BlockDist:
         values=sums_int.astype(float) * chain.step,
         probs=probs,
         cdf=np.cumsum(probs),
-        step=chain.step,
         sums_int=sums_int.astype(np.int64),
         end_state_probs=joint[mask],
     )
@@ -271,13 +274,6 @@ class CoupledPath:
     u_by_level: tuple
     v_by_level: tuple
     m_by_level: tuple
-    sigma2: float
-    seed: int
-    replicate: int
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
 
 
 def _clip_unit(u):
@@ -353,8 +349,7 @@ def _couple_path(chain: FiniteChain, schedule: CouplingSchedule, sigma2: float,
     z = np.diff(t)
     return CoupledPath(s=s, t=t, z=z, x=vals_int.astype(float) * step,
                        u_by_level=tuple(u_by_level), v_by_level=tuple(v_by_level),
-                       m_by_level=tuple(m_by_level), sigma2=sigma2, seed=seed,
-                       replicate=replicate)
+                       m_by_level=tuple(m_by_level))
 
 
 @dataclass(frozen=True)
@@ -372,20 +367,17 @@ def coupling_errors(path: CoupledPath) -> CouplingErrors:
     the dyadic envelope sup <= |X_1 - Z_1| + sum_L D_L.
     """
     e = path.s - path.t
-    n = path.n
     sup_error = float(np.max(np.abs(e[1:])))
     first = abs(float(path.x[0] - path.z[0]))
     scale = 1e-9 * (1.0 + float(np.max(np.abs(path.s))) + float(np.max(np.abs(path.t))))
 
     per_level = []
-    big_n = int(math.log2(n)) - 1
-    for level in range(big_n + 1):
+    for level, m in enumerate(path.m_by_level):
         base = 2 ** level
         seg = e[base:2 * base + 1]
         d = float(np.max(np.abs(seg[1:] - seg[0])))
         du = path.u_by_level[level] - path.v_by_level[level]
         d1 = float(np.max(np.abs(np.cumsum(du))))
-        m = path.m_by_level[level]
         count = 2 ** m
         blocks = seg[1:].reshape(-1, count)
         anchors = seg[0:-1:count][:blocks.shape[0]]

@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import (check_series_inputs, degenerate_moment_check, path_statistics,
                      series_convergence_check)
 from .coefficients import is_degenerate, sigma2_exact
-from .coupling import coupling_errors, make_schedule, _couple_path
+from .coupling import coupling_errors, is_dyadic, make_schedule, top_level, _couple_path
 from .processes import FiniteChain, LsvProcess, lsv_running_stats, sample_chain_paths
 
 
@@ -38,7 +38,6 @@ class ExperimentConfig:
     variant: str = "balanced"
     p: float = 4.0
     epsilon: float = 0.5
-    c_fit: float = 1.0
     tolerance: float = 0.08
     surrogate: object | None = None
     alpha: float = 0.75
@@ -75,8 +74,8 @@ class RateEstimate:
 def fit_power_law(ns, values):
     """OLS fit of log2(values) on log2(n).
 
-    Returns (slope, slope_se, intercept).  Noiseless power law input recovers
-    the exponent to float precision.
+    Returns (slope, slope_se).  Noiseless power law input recovers the
+    exponent to float precision.
     """
     ns = np.asarray(ns, dtype=float)
     y = np.log2(np.asarray(values, dtype=float))
@@ -90,7 +89,7 @@ def fit_power_law(ns, values):
         se = math.sqrt(max(cov[1, 1], 0.0))
     else:
         se = math.inf
-    return float(beta[1]), se, float(beta[0])
+    return float(beta[1]), se
 
 
 def _require_replicates(config: ExperimentConfig) -> None:
@@ -103,7 +102,7 @@ def _require_coupled(chain, config: ExperimentConfig) -> None:
     sigma2 > 0, n_list powers of two >= 8 (dyadic blocks), >= 16 replicates."""
     if not isinstance(chain, FiniteChain):
         raise ValueError("rate experiments require an exact lattice chain")
-    if not all(n >= 8 and n & (n - 1) == 0 for n in config.n_list):
+    if not all(is_dyadic(n) for n in config.n_list):
         raise ValueError("n_list entries must be powers of two, >= 8")
     _require_replicates(config)
     if is_degenerate(chain):
@@ -113,8 +112,8 @@ def _require_coupled(chain, config: ExperimentConfig) -> None:
 def coupling_sup_errors(chain: FiniteChain, config: ExperimentConfig, n: int,
                         sigma2: float) -> np.ndarray:
     """sup_k |S_k - T_k| per replicate for one n, coupled at variance sigma2."""
-    schedule = make_schedule(int(math.log2(n)) - 1, config.p, config.variant,
-                             epsilon=config.epsilon, c_fit=config.c_fit)
+    schedule = make_schedule(top_level(n), config.p, config.variant,
+                             epsilon=config.epsilon)
     states, vals = sample_chain_paths(chain, n, config.seed, range(config.replicates))
     return np.asarray([
         coupling_errors(_couple_path(chain, schedule, sigma2, states[rep],
@@ -141,7 +140,7 @@ def _rate_estimate(ns, rms, target, tolerance, y_vars=None) -> RateEstimate:
         return RateEstimate(exponent=0.0, exponent_se=math.inf, target=target,
                             tolerance=tolerance, passed=None, degenerate=True,
                             rows=rows)
-    slope, se, _ = fit_power_law(ns, rms)
+    slope, se = fit_power_law(ns, rms)
     if y_vars is not None:
         # Monte Carlo error of the slope: propagate per-point log variances
         # through the least-squares weights (replicate noise only; the
@@ -227,7 +226,7 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
         level = math.sqrt(float(np.mean(np.maximum(smax, -smin) ** 2)))
         sup_l2.append(level)
         rows.append({"n": int(n), "sup_l2": level})
-    direct_slope, direct_se, _ = fit_power_law(config.n_list, sup_l2)
+    direct_slope, direct_se = fit_power_law(config.n_list, sup_l2)
 
     surrogate_estimate = None
     if config.surrogate is not None:

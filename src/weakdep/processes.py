@@ -130,7 +130,6 @@ class FiniteChain:
     sup_norm: float
     exact_transition: tuple = field(repr=False)   # tuple of tuples of Fraction
     exact_stationary: tuple = field(repr=False)   # tuple of Fraction
-    process_id: str = "finite_chain"
     sup_path_bound: float | None = None   # pathwise bound on max|S_k|, when known
 
     def __post_init__(self):
@@ -210,11 +209,10 @@ def build_finite_chain(transition, observable_raw, step: float, states=None) -> 
     )
 
 
-def flip_chain(a: float, step: float = 1.0) -> FiniteChain:
+def flip_chain(a: float) -> FiniteChain:
     """Two-state chain flipping with probability `a`, observable (+1, -1)."""
-    return build_finite_chain(
-        [[1.0 - a, a], [a, 1.0 - a]], [1.0 * step, -1.0 * step], step,
-        states=("+", "-"))
+    return build_finite_chain([[1.0 - a, a], [a, 1.0 - a]], [1.0, -1.0], 1.0,
+                              states=("+", "-"))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +285,6 @@ class LsvProcess:
     gamma: float
     observable: LsvObservable
     burn_in: int = 10_000
-    process_id: str = "lsv"
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -300,13 +297,14 @@ class LsvProcess:
         return self.observable.sup_norm
 
 
-def lsv_reference_mean(gamma: float, total_iterations: int = 10**7, seed: int = 0,
-                       orbits: int = 100) -> float:
+def lsv_reference_mean(gamma: float, total_iterations: int = 10**7,
+                       seed: int = 0) -> float:
     """Long-run average of x under the invariant law, by ensemble Birkhoff sums.
 
-    Splits the iteration budget over `orbits` parallel orbits started uniformly
+    Splits the iteration budget over 100 parallel orbits started uniformly
     (after a shared burn-in of one tenth of the per-orbit length).
     """
+    orbits = 100
     per_orbit = max(1, total_iterations // orbits)
     process = LsvProcess(gamma=gamma, observable=LsvObservable("identity", 0.0),
                          burn_in=per_orbit // 10)
@@ -322,26 +320,19 @@ def lsv_reference_mean(gamma: float, total_iterations: int = 10**7, seed: int = 
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Realized path X_1..X_n with exact partial sums.
+    """Realized path X_1..X_n with exact partial sums, drawn with `seed`.
 
     ``partial_sums[0] == 0`` and ``partial_sums[k] - partial_sums[k-1] ==
-    values[k-1]``; for lattice chains both are integer multiples of ``step``
-    (``values_int`` / ``sums_int`` carry the exact integers).
+    values[k-1]``; for lattice chains both are integer multiples of the
+    chain's lattice step (``values_int`` / ``sums_int`` carry the exact
+    integers; None for other processes).
     """
 
     values: np.ndarray
     partial_sums: np.ndarray
     seed: int
-    process_id: str
-    replicate: int = 0
-    step: float | None = None
     values_int: np.ndarray | None = None
     sums_int: np.ndarray | None = None
-    states: np.ndarray | None = None   # chain states xi_0..xi_n (lattice chains)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
 
 def path_uniforms(seed: int, n: int, replicates: Sequence[int]) -> np.ndarray:
@@ -395,22 +386,19 @@ def sample_path(process, n: int, seed: int, replicate: int = 0) -> SamplePath:
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(process, FiniteChain):
-        states, vals_int = sample_chain_paths(process, n, seed, [replicate])
-        vals_int = vals_int[0]
+        vals_int = sample_chain_paths(process, n, seed, [replicate])[1][0]
         sums_int = np.concatenate(([0], np.cumsum(vals_int)))
         return SamplePath(
             values=vals_int.astype(float) * process.step,
             partial_sums=sums_int.astype(float) * process.step,
-            seed=seed, replicate=replicate, process_id=process.process_id,
-            step=process.step, values_int=vals_int, sums_int=sums_int,
-            states=states[0],
+            seed=seed, values_int=vals_int, sums_int=sums_int,
         )
     if isinstance(process, LsvProcess):
         values = sample_lsv_ensemble(process, n, seed, [replicate])[0]
         return SamplePath(
             values=values,
             partial_sums=np.concatenate(([0.0], np.cumsum(values))),
-            seed=seed, replicate=replicate, process_id=process.process_id,
+            seed=seed,
         )
     raise TypeError(f"unsupported process type {type(process).__name__}")
 
@@ -521,8 +509,7 @@ def symmetrize(chain: FiniteChain) -> FiniteChain:
             t[a, b] = chain.transition[i, k] * chain.transition[j, l]
     obs = [chain.observable[i] - chain.observable[j] for (i, j) in pairs]
     labels = tuple((chain.states[i], chain.states[j]) for (i, j) in pairs)
-    out = build_finite_chain(t, obs, chain.step, states=labels)
-    return replace(out, process_id=chain.process_id + "_symmetrized")
+    return build_finite_chain(t, obs, chain.step, states=labels)
 
 
 def make_coboundary(chain: FiniteChain, g_values) -> FiniteChain:
@@ -550,8 +537,7 @@ def make_coboundary(chain: FiniteChain, g_values) -> FiniteChain:
     support = [i for i in range(chain.n_states) if chain.exact_stationary[i] > 0]
     g_spread = float((max(g_int[i] for i in support)
                       - min(g_int[i] for i in support)) * chain.step)
-    return replace(out, process_id=chain.process_id + "_coboundary",
-                   sup_path_bound=g_spread)
+    return replace(out, sup_path_bound=g_spread)
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,6 @@ def normalize_process(chain: FiniteChain) -> FiniteChain:
         sup_norm=1.0,
         exact_transition=chain.exact_transition,
         exact_stationary=chain.exact_stationary,
-        process_id=chain.process_id + "_normalized",
         sup_path_bound=(None if chain.sup_path_bound is None
                         else chain.sup_path_bound / chain.sup_norm),
     )

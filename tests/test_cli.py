@@ -166,7 +166,10 @@ def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
     (["couple", "run"], {"process": LSV, "n": 256}, "couple run requires a finite_chain process"),
     (["couple", "run"], {"process": COBOUNDARY, "n": 256},
      "degenerate process: use the degenerate pipeline"),
-], ids=["bound-fit-lsv", "bound-check-lsv", "couple-run-lsv", "couple-run-degenerate"])
+    (["couple", "run"], {"process": FLIP, "n": 3000}, "n must be a power of two, >= 8"),
+    (["couple", "run"], {"process": FLIP, "n": 4}, "n must be a power of two, >= 8"),
+], ids=["bound-fit-lsv", "bound-check-lsv", "couple-run-lsv", "couple-run-degenerate",
+        "couple-run-n-3000", "couple-run-n-4"])
 def test_command_refuses_process(tmp_path, command, doc, message):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
@@ -184,6 +187,9 @@ def test_command_refuses_process(tmp_path, command, doc, message):
     ("rates", {"process": LSV, "p": 2.5}, "p"),
     ("wasserstein", {"process": FLIP, "alpha": 0.5}, "alpha"),
     ("wasserstein", {"process": FLIP, "moment_q": 3.0}, "moment_q"),
+    ("rates", {"process": FLIP, "c_fit": 2.0}, "c_fit"),
+    ("rates", {"process": LSV, "c_fit": 2.0}, "c_fit"),
+    ("wasserstein", {"process": FLIP, "c_fit": 2.0}, "c_fit"),
 ])
 def test_config_key_not_read_rejected(tmp_path, command, doc, unread):
     cfg = write_config(tmp_path, {**doc, "n_list": [256, 512], "replicates": 16,

@@ -142,7 +142,7 @@ def test_block_dist_budget_guard(flip25):
 # ---------------------------------------------------------------------------
 
 def two_point_dist():
-    return BlockDist.from_atoms([-1.0, 1.0], [0.5, 0.5], step=1.0,
+    return BlockDist.from_atoms([-1.0, 1.0], [0.5, 0.5],
                                 sums_int=np.array([-1, 1]))
 
 
@@ -167,7 +167,7 @@ def test_quantile_identity_on_matching_discretization():
 def test_quantile_between_atoms_is_left_limit():
     # F(u) = F(u-) off the atoms, whatever the randomizer: 1 lies between
     # the atoms 0 and 2, and 3 beyond the last atom.
-    dist = BlockDist.from_atoms([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25], step=1.0,
+    dist = BlockDist.from_atoms([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25],
                                 sums_int=np.array([-2, 0, 2]))
     v = _conditional_quantile(dist, np.array([1, 1, 3]), np.array([0.1, 0.9, 0.5]))
     assert v[0] == v[1] == gaussian_quantile(0.75)

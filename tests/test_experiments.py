@@ -30,7 +30,7 @@ def test_fit_power_law_recovers_exponent_noiselessly():
     ns = [2 ** k for k in range(6, 14)]
     for a in (-0.5, 0.25, 1.0):
         ys = [3.7 * n ** a for n in ns]
-        slope, se, _ = fit_power_law(ns, ys)
+        slope, se = fit_power_law(ns, ys)
         assert slope == pytest.approx(a, abs=1e-10)
 
 
