@@ -6,8 +6,7 @@ from .processes import (FiniteChain, LsvObservable, LsvProcess, SamplePath,
                         sample_path, symmetrize)
 from .coefficients import (SeriesSummary, TailModel, ThetaTable,
                            degenerate_moment_bound, series_summary,
-                           sigma2_exact, symmetrization_check, theta_exact,
-                           theta_table_from_chain)
+                           sigma2_exact, theta_exact, theta_table_from_chain)
 from .bounds import (ConstantsFit, FukNagaevParams, TailEstimate,
                      degenerate_moment_check, empirical_tail, fit_constants,
                      fuk_nagaev_rhs, series_convergence_check, tail_grid,

@@ -17,15 +17,17 @@ sliding-window max over starts (see :func:`theta_exact`).  A table
 theta(0..K) is thus one pass over the patterns, not K + 1 enumerations of
 every tuple.
 
-sigma2 is the covariance series with a certified radius; that interval is
-the one degeneracy decision (:func:`is_degenerate`).  Cross-checks no pipeline
-reads (strong mixing of order 4, Var(S_n)/n extrapolation) are test oracles.
+Each chain has one certificate (:func:`certify`, cached per chain): the
+contraction (r, delta) and the covariance series sigma2 with a certified
+radius; that interval is the one degeneracy decision (:func:`is_degenerate`).
+Cross-checks no pipeline reads are test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -33,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import zeta
 
-from .processes import FiniteChain, symmetrize
+from .processes import FiniteChain
 
 TUPLE_BUDGET = 10**7
 # Index tuples span at most this many steps beyond their first index.
@@ -176,16 +178,14 @@ def certified_contraction(chain: FiniteChain, max_power: int = 64) -> tuple[int,
     raise ValueError("no spectral gap (periodic chain)")
 
 
-def sigma2_certified(chain: FiniteChain,
-                     radius_target: float = 1e-10) -> tuple[float, float]:
+def sigma2_certified(chain: FiniteChain, r: int, delta: float) -> tuple[float, float]:
     """Covariance series E X0^2 + 2 sum_k E X0 X_k with a certified tail.
 
     Terms are summed until the remainder, bounded through the Dobrushin
-    contraction of a fixed power of the kernel and the monotone span of
-    P^k f, is below `radius_target`; a series that has not certified after
-    200 000 terms is refused.  Returns (midpoint, radius).
+    coefficient delta of P^r (the certified contraction) and the monotone span
+    of P^k f, is below 1e-10; a series that has not certified after 200 000
+    terms is refused.  Returns (midpoint, radius).
     """
-    r, delta = certified_contraction(chain)
     pi, p, f = chain.stationary, chain.transition, chain.observable
     sup = chain.sup_norm
     total = float(pi @ (f * f))
@@ -200,17 +200,33 @@ def sigma2_certified(chain: FiniteChain,
         # contracts by delta every r steps.
         tail = (sup / 2.0) * r * span / (1.0 - delta)
         fuzz = 1e-14 * k * (1.0 + abs(total))
-        if tail + fuzz <= radius_target:
+        if tail + fuzz <= 1e-10:
             return total, tail + fuzz
         if k >= 200_000:
             raise ValueError("covariance series tail did not certify; "
                              "spectral gap too weak")
 
 
-def sigma2_exact(chain: FiniteChain, radius_target: float = 1e-10) -> float:
-    """Midpoint of the certified covariance series (radius <= radius_target)."""
-    mid, _ = sigma2_certified(chain, radius_target)
-    return mid
+@dataclass(frozen=True)
+class ChainCertificate:
+    """Certified contraction (r, delta) of a chain and sigma2 +- radius."""
+
+    r: int
+    delta: float
+    sigma2: float
+    radius: float
+
+
+@lru_cache(maxsize=32)
+def certify(chain: FiniteChain) -> ChainCertificate:
+    """The only caller of certified_contraction and of the covariance series."""
+    r, delta = certified_contraction(chain)
+    return ChainCertificate(r, delta, *sigma2_certified(chain, r, delta))
+
+
+def sigma2_exact(chain: FiniteChain) -> float:
+    """Midpoint of the certified covariance series (radius <= 1e-10)."""
+    return certify(chain).sigma2
 
 
 def is_degenerate(chain: FiniteChain) -> bool:
@@ -219,8 +235,8 @@ def is_degenerate(chain: FiniteChain) -> bool:
     The one degeneracy decision: pipelines that need sigma2 > 0 refuse such a
     chain, and the degenerate pipeline refuses every other chain.
     """
-    mid, radius = sigma2_certified(chain)
-    return mid - radius <= 0.0
+    cert = certify(chain)
+    return cert.sigma2 - cert.radius <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +411,10 @@ def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSumm
 
 def certified_theta_table(chain: FiniteChain, p: int, q: int,
                           horizon: int) -> ThetaTable:
-    """Exact theta(0..horizon) with a geometric tail at the rate delta^(1/r)
-    of the certified contraction (r, delta), capped just below 1."""
-    r, delta = certified_contraction(chain)
-    tail = TailModel("geometric", rate=min(0.999999, delta ** (1.0 / r)))
+    """Exact theta(0..horizon) with a geometric tail at the rate delta^(1/r),
+    capped just below 1, of the chain's certificate (which certifies sigma2 too)."""
+    cert = certify(chain)
+    tail = TailModel("geometric", rate=min(0.999999, cert.delta ** (1.0 / cert.r)))
     return theta_table_from_chain(chain, p, q, horizon, tail)
 
 
@@ -410,25 +426,8 @@ def summarize_chain(chain: FiniteChain, horizon: int = 16) -> SeriesSummary:
 
 
 # ---------------------------------------------------------------------------
-# Symmetrization comparison and degenerate moment bound
+# Degenerate moment bound
 # ---------------------------------------------------------------------------
-
-def symmetrization_check(chain: FiniteChain, p: int, q: int, k: int,
-                         tuple_horizon: int = 8) -> tuple[float, float]:
-    """theta of the symmetrized pair process, with its comparison bound.
-
-    Returns (theta_Z, 2^{q+1} theta_X); the first never exceeds the second
-    (the comparison presumes sup_norm <= 1, which every shipped test chain
-    satisfies).
-    """
-    theta_x = theta_exact(chain, p, q, k, tuple_horizon)
-    theta_z = theta_exact(symmetrize(chain), p, q, k, tuple_horizon)
-    bound = 2.0 ** (q + 1) * theta_x
-    if theta_z > bound + 1e-9:
-        raise AssertionError(
-            f"symmetrized coefficient {theta_z} exceeds bound {bound}")
-    return theta_z, bound
-
 
 def degenerate_moment_bound(m_sup: float, q: float, table: ThetaTable) -> float:
     """Moment bound q (2M)^q sum_{k>=0} (k+1)^{q-1} theta(k) for degenerate sums.

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .coefficients import BudgetExceededError
-from .processes import FiniteChain, _chain_states_from_uniforms, sample_chain_paths
+from .processes import FiniteChain, sample_chain_paths
 from .rng import Domain, block_address, substreams
 
 ATOM_BUDGET = 10**7
@@ -430,36 +430,3 @@ def w2_conditional(dist: BlockDist, target_variance: float) -> float:
     i2 = dc - (zphi[1:] - zphi[:-1])
     u = dist.values
     return float(np.sum(u * u * dc - 2.0 * tau * u * i1 + tau * tau * i2))
-
-
-def block_coupling_second_moment(chain: FiniteChain, m: int, sigma2: float,
-                                 blocks: int, seed: int) -> dict:
-    """Monte Carlo E(U - V)^2 over independent blocks, with the exact
-    stationary-mixture quadrature it must match.
-
-    Each block draws its start from the stationary law, simulates 2^m steps,
-    and applies the quantile transform; the exact value is the stationary
-    mixture of per-start squared transport costs.
-    """
-    count = 2 ** m
-    addresses = ((block_address(count, rep), 0) for rep in range(blocks))
-    u = np.stack([gen.random(count + 2) for gen in substreams(seed, Domain.BLOCK, addresses)])
-    states = _chain_states_from_uniforms(chain, u[:, :count + 1])
-    u_int = chain.obs_int[states[:, 1:]].sum(axis=1)
-    deltas = _clip_unit(u[:, -1])
-
-    scale = math.sqrt(sigma2) * 2.0 ** (m / 2.0)
-    v = np.empty(blocks)
-    exact = 0.0
-    for state in range(chain.n_states):
-        dist = block_sum_dist(chain, state, m)
-        exact += chain.stationary[state] * w2_conditional(dist, sigma2 * count)
-        sel = states[:, 0] == state
-        v[sel] = scale * _conditional_quantile(dist, u_int[sel], deltas[sel])
-
-    diff2 = (u_int.astype(float) * chain.step - v) ** 2
-    e2 = float(diff2.mean())
-    se = float(diff2.std(ddof=1)) / math.sqrt(blocks)
-    return {"mc": e2, "se": se, "exact": exact,
-            "z_score": (e2 - exact) / se if se > 0 else 0.0,
-            "blocks": blocks, "m": m}

@@ -73,10 +73,6 @@ def block_address(n: int, replicate: int) -> int:
     return (n << 32) | replicate
 
 
-def block_stream(seed: int, n: int, replicate: int, serial: int) -> np.random.Generator:
-    return substream(seed, Domain.BLOCK, block_address(n, replicate), serial)
-
-
 def holdout_seed(seed: int) -> int:
     """Default seed of a holdout check whose training run used `seed`."""
     return seed ^ 0x5851F42D4C957F2D   # fixed forever

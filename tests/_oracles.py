@@ -10,7 +10,11 @@ faster kernels replaced, ``philox_substream`` builds a fresh generator for
 each substream address, and ``random_lattice_chain`` draws the chains they
 are compared on.  ``alpha_inf4_exact`` (strong mixing of order 4) and the
 variance-rate route to sigma2 (``partial_sum_variance``,
-``sigma2_extrapolated``) are exact cross-checks that no pipeline reads.
+``sigma2_extrapolated``) are exact cross-checks that no pipeline reads, as
+are ``symmetrization_check`` (theta of the symmetrized pair process against
+its comparison bound) and ``block_coupling_second_moment`` (Monte Carlo
+E(U - V)^2 of one coupled block against its exact quadrature);
+``block_stream`` addresses one BLOCK substream.
 """
 
 import math
@@ -21,10 +25,11 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
-from weakdep.coefficients import BudgetExceededError, _transition_powers
-from weakdep.coupling import block_sum_dist
-from weakdep.processes import FiniteChain
-from weakdep.rng import block_stream, path_stream
+from weakdep.coefficients import BudgetExceededError, _transition_powers, theta_exact
+from weakdep.coupling import (_clip_unit, _conditional_quantile, block_sum_dist,
+                              w2_conditional)
+from weakdep.processes import FiniteChain, _chain_states_from_uniforms, symmetrize
+from weakdep.rng import Domain, block_address, path_stream, substream, substreams
 
 
 def _positive_vectors(r, q):
@@ -447,3 +452,57 @@ def sigma2_extrapolated(chain: FiniteChain, n: int = 2**16) -> float:
     v_half = partial_sum_variance(chain, n // 2) / (n // 2)
     v_full = partial_sum_variance(chain, n) / n
     return 2.0 * v_full - v_half
+
+
+def block_stream(seed: int, n: int, replicate: int, serial: int) -> np.random.Generator:
+    return substream(seed, Domain.BLOCK, block_address(n, replicate), serial)
+
+
+def symmetrization_check(chain: FiniteChain, p: int, q: int, k: int,
+                         tuple_horizon: int = 8) -> tuple[float, float]:
+    """theta of the symmetrized pair process, with its comparison bound.
+
+    Returns (theta_Z, 2^{q+1} theta_X); the first never exceeds the second
+    (the comparison presumes sup_norm <= 1, which every shipped test chain
+    satisfies).
+    """
+    theta_x = theta_exact(chain, p, q, k, tuple_horizon)
+    theta_z = theta_exact(symmetrize(chain), p, q, k, tuple_horizon)
+    bound = 2.0 ** (q + 1) * theta_x
+    if theta_z > bound + 1e-9:
+        raise AssertionError(
+            f"symmetrized coefficient {theta_z} exceeds bound {bound}")
+    return theta_z, bound
+
+
+def block_coupling_second_moment(chain: FiniteChain, m: int, sigma2: float,
+                                 blocks: int, seed: int) -> dict:
+    """Monte Carlo E(U - V)^2 over independent blocks, with the exact
+    stationary-mixture quadrature it must match.
+
+    Each block draws its start from the stationary law, simulates 2^m steps,
+    and applies the quantile transform; the exact value is the stationary
+    mixture of per-start squared transport costs.
+    """
+    count = 2 ** m
+    addresses = ((block_address(count, rep), 0) for rep in range(blocks))
+    u = np.stack([gen.random(count + 2) for gen in substreams(seed, Domain.BLOCK, addresses)])
+    states = _chain_states_from_uniforms(chain, u[:, :count + 1])
+    u_int = chain.obs_int[states[:, 1:]].sum(axis=1)
+    deltas = _clip_unit(u[:, -1])
+
+    scale = math.sqrt(sigma2) * 2.0 ** (m / 2.0)
+    v = np.empty(blocks)
+    exact = 0.0
+    for state in range(chain.n_states):
+        dist = block_sum_dist(chain, state, m)
+        exact += chain.stationary[state] * w2_conditional(dist, sigma2 * count)
+        sel = states[:, 0] == state
+        v[sel] = scale * _conditional_quantile(dist, u_int[sel], deltas[sel])
+
+    diff2 = (u_int.astype(float) * chain.step - v) ** 2
+    e2 = float(diff2.mean())
+    se = float(diff2.std(ddof=1)) / math.sqrt(blocks)
+    return {"mc": e2, "se": se, "exact": exact,
+            "z_score": (e2 - exact) / se if se > 0 else 0.0,
+            "blocks": blocks, "m": m}

@@ -18,17 +18,16 @@ from scipy.stats import kstest
 from weakdep import (ExperimentConfig, build_finite_chain, donsker_wasserstein,
                      flip_chain, fuk_nagaev_rhs, make_coboundary,
                      make_schedule, run_degenerate_suite, run_rate_experiment,
-                     series_summary, sigma2_exact, symmetrization_check,
-                     theta_exact)
+                     series_summary, sigma2_exact, theta_exact)
 from weakdep.bounds import (fit_constants, params_from_summary, tail_grid,
                             validate_constants)
 from weakdep.coefficients import TailModel, ThetaTable, summarize_chain
-from weakdep.coupling import (block_coupling_second_moment, build_coupling,
-                              coupling_errors)
+from weakdep.coupling import build_coupling, coupling_errors
 from weakdep.cli import main
 from weakdep.processes import process_to_config, symmetrize
 
-from _oracles import block_sum_dist_exact, sigma2_extrapolated, theta_brute
+from _oracles import (block_coupling_second_moment, block_sum_dist_exact,
+                      sigma2_extrapolated, symmetrization_check, theta_brute)
 
 pytestmark = pytest.mark.acceptance
 

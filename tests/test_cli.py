@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import weakdep
-from weakdep import flip_chain, make_coboundary
+from weakdep import coefficients, flip_chain, make_coboundary
 from weakdep.bounds import MIN_TAIL_REPLICATES
 from weakdep.cli import CONFIG_DEFAULTS, _read_config, main
 from weakdep.coefficients import certified_theta_table
@@ -177,6 +177,36 @@ def test_command_refuses_process(tmp_path, command, doc, message):
     assert result.exit_code == 1
     assert result.output == f"Error: {message}\n"
     assert not out.exists()
+
+
+SMALL_BOUND = {"process": FLIP, "grid_n": [32, 64], "points_per_n": 1, "replicates": 200,
+               "theta_horizon": 4}
+SMALL_LADDER = {"n_list": [64, 128], "replicates": 16}
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["coeffs", "--horizon", "4"], {"process": FLIP}),
+    (["bound", "fit"], SMALL_BOUND),
+    (["bound", "check", "--c1", "1.0", "--c2", "1.0"], SMALL_BOUND),
+    (["couple", "run"], {"process": FLIP, "n": 256}),
+    (["rates"], {"process": FLIP, **SMALL_LADDER}),
+    (["rates"], {"process": LSV, "surrogate": FLIP, **SMALL_LADDER}),
+    (["wasserstein"], {"process": FLIP, **SMALL_LADDER}),
+    (["degenerate"], {"process": COBOUNDARY, "n_list": [64, 256], "replicates": 100,
+                      "alpha": 0.5}),
+], ids=["coeffs", "bound-fit", "bound-check", "couple-run", "rates-chain",
+        "rates-lsv-surrogate", "wasserstein", "degenerate"])
+def test_command_certifies_its_chain_once(tmp_path, monkeypatch, command, doc):
+    calls = {"certified_contraction": 0, "sigma2_certified": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(coefficients, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(coefficients, name, counted)
+    result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
+                                                 "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert calls == {"certified_contraction": 1, "sigma2_certified": 1}
 
 
 @pytest.mark.parametrize("command, doc, unread", [

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from weakdep import (TailModel, ThetaTable, build_finite_chain,
                      degenerate_moment_bound, flip_chain, make_coboundary,
-                     series_summary, sigma2_exact, symmetrization_check,
-                     symmetrize, theta_exact)
-from weakdep.coefficients import (BudgetExceededError, certified_contraction,
-                                  sigma2_certified, theta_table_from_chain,
-                                  theta_truncation_bound)
+                     series_summary, sigma2_exact, symmetrize, theta_exact)
+from weakdep.coefficients import (BudgetExceededError, certified_contraction, certify,
+                                  theta_table_from_chain, theta_truncation_bound)
 from weakdep.processes import process_to_config
 
 from _oracles import (alpha_brute_two_state, alpha_inf4_exact,
                       covariance_series_partial, normalize_process,
                       partial_sum_variance, random_lattice_chain,
-                      sigma2_extrapolated, theta_brute, theta_exact_loop)
+                      sigma2_extrapolated, symmetrization_check, theta_brute,
+                      theta_exact_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +169,7 @@ def test_alpha_state_budget(four_state):
 
 def test_sigma2_flip_closed_form(flip25):
     assert sigma2_exact(flip25) == pytest.approx(3.0, abs=1e-8)
-    mid, radius = sigma2_certified(flip25)
-    assert radius <= 1e-10
+    assert certify(flip25).radius <= 1e-10
 
 
 def test_sigma2_iid(iid_chain):
@@ -191,7 +189,7 @@ def test_sigma2_extrapolation_agreement(flip25):
 
 def test_sigma2_coboundary_degenerate(flip25):
     chain = make_coboundary(flip25, [1.0, -1.0])
-    assert abs(sigma2_exact(chain, radius_target=1e-9)) <= 1e-8
+    assert abs(sigma2_exact(chain)) <= 1e-8
 
 
 def test_sigma2_periodic_rejected():

@@ -12,13 +12,12 @@ from weakdep import (BlockDist, block_sum_dist, build_coupling, coupling_errors,
                      flip_chain, make_coboundary, make_schedule,
                      sigma2_exact, skorohod_split, w2_conditional)
 from weakdep.coupling import (VARIANTS, BudgetExceededError, _conditional_quantile,
-                              _couple_path, block_coupling_second_moment,
-                              gaussian_quantile)
+                              _couple_path, gaussian_quantile)
 from weakdep.processes import sample_chain_paths
 from weakdep.rng import substream, substreams
 
-from _oracles import (block_dist_brute, block_sum_dist_exact, couple_path_loop,
-                      random_lattice_chain)
+from _oracles import (block_coupling_second_moment, block_dist_brute,
+                      block_sum_dist_exact, couple_path_loop, random_lattice_chain)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,10 @@ def test_sigma2_certified_once_per_ladder(monkeypatch, flip25):
     counts = []
     for n_list in ([64, 128], [64, 128, 256, 512]):
         calls.clear()
+        coefficients.certify.cache_clear()
         run_rate_experiment(small_config(flip25, n_list=n_list, replicates=16))
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] == 1
 
 
 def test_lsv_gamma_out_of_range_rejected():
@@ -273,8 +274,8 @@ def test_degeneracy_decided_by_certified_interval(monkeypatch, flip25):
         raise AssertionError("simulated before the degeneracy check")
 
     # sigma2 = 1e-7 +- 1e-10 is certified positive: not a degenerate chain
-    monkeypatch.setattr(coefficients, "sigma2_certified",
-                        lambda chain, *args, **kw: (1e-7, 1e-10))
+    monkeypatch.setattr(coefficients, "certify",
+                        lambda chain: coefficients.ChainCertificate(1, 0.5, 1e-7, 1e-10))
     monkeypatch.setattr(experiments, "path_statistics", no_simulation)
     assert not is_degenerate(cob)
     cfg = ExperimentConfig(process=cob, n_list=[100, 1000], replicates=500,

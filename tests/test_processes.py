@@ -300,7 +300,7 @@ def test_coboundary_centered_and_bounded(flip25):
     assert abs(float(chain.stationary @ chain.observable)) < 1e-12
     assert chain.sup_norm <= 2.0 * 1.0 + 1e-12
     assert chain.sup_path_bound == pytest.approx(2.0)
-    assert sigma2_exact(chain, radius_target=1e-9) == pytest.approx(0.0, abs=1e-8)
+    assert sigma2_exact(chain) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_coboundary_telescoping_paths_bounded(flip25):

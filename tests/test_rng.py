@@ -2,9 +2,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep.rng import Domain, block_stream, path_stream, substream, substreams
+from weakdep.rng import Domain, path_stream, substream, substreams
 
-from _oracles import philox_substream
+from _oracles import block_stream, philox_substream
 
 WORD = st.integers(min_value=0, max_value=2**64 - 1)
 NEAR_TOP = st.integers(min_value=2**64 - 4, max_value=2**64 - 1)
