@@ -4,13 +4,12 @@ approximation of weakly dependent bounded sequences."""
 from .processes import (FiniteChain, LsvObservable, LsvProcess, SamplePath,
                         build_finite_chain, flip_chain, make_coboundary,
                         sample_path, symmetrize)
-from .coefficients import (SeriesSummary, TailModel, ThetaTable,
+from .coefficients import (SeriesSummary, ThetaTable,
                            degenerate_moment_bound, series_summary,
                            sigma2_exact, theta_exact, theta_table_from_chain)
 from .bounds import (ConstantsFit, FukNagaevParams, TailEstimate,
                      degenerate_moment_check, empirical_tail, fit_constants,
-                     fuk_nagaev_rhs, series_convergence_check, tail_grid,
-                     validate_constants)
+                     series_convergence_check, tail_grid, validate_constants)
 from .coupling import (BlockDist, CoupledPath, CouplingSchedule,
                        block_sum_dist, build_coupling, coupling_errors,
                        make_schedule, skorohod_split, w2_conditional)

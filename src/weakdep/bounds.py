@@ -22,8 +22,7 @@ from scipy.special import betaincinv
 
 from .coefficients import (SeriesSummary, certified_theta_table,
                            degenerate_moment_bound, is_degenerate, sigma2_exact)
-from .processes import (FiniteChain, LsvProcess, chain_walk, lsv_running_stats,
-                        path_uniforms)
+from .processes import FiniteChain, chain_walk, path_uniforms
 
 _CHUNK_ELEMENT_BUDGET = 8_000_000   # replicates x (n+1) doubles per chunk
 MIN_TAIL_REPLICATES = 100           # fewest replicates a tail estimate accepts
@@ -43,8 +42,6 @@ class FukNagaevParams:
     theta1: float
     theta2: float
     weighted_x: float
-    c1: float
-    c2: float
 
     def __post_init__(self):
         if self.n < 1:
@@ -59,8 +56,6 @@ class FukNagaevParams:
             raise ValueError("divergent dependence series; bound refuses such inputs")
         if self.weighted_x < 0:
             raise ValueError("weighted_x must be nonnegative")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("constants must be positive")
 
 
 def bound_terms(params: FukNagaevParams) -> tuple[float, float]:
@@ -74,20 +69,12 @@ def bound_terms(params: FukNagaevParams) -> tuple[float, float]:
     return gauss, poly
 
 
-def fuk_nagaev_rhs(params: FukNagaevParams) -> float:
-    """Value of the two-term bound."""
-    gauss, poly = bound_terms(params)
-    return params.c1 * gauss + params.c2 * poly
-
-
-def params_from_summary(summary: SeriesSummary, n: int, x: float,
-                        c1: float = 1.0, c2: float = 1.0) -> FukNagaevParams:
+def params_from_summary(summary: SeriesSummary, n: int, x: float) -> FukNagaevParams:
     """Bound inputs at (n, x) from a series summary, sigma2 included."""
     if summary.sigma2 is None:
         raise ValueError("series summary carries no sigma2")
     return FukNagaevParams(n=n, x=x, sigma2=summary.sigma2, theta1=summary.theta1,
-                           theta2=summary.theta2, weighted_x=summary.weighted(x),
-                           c1=c1, c2=c2)
+                           theta2=summary.theta2, weighted_x=summary.weighted(x))
 
 
 # ---------------------------------------------------------------------------
@@ -134,34 +121,30 @@ def _chain_running_stats(chain: FiniteChain, u: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class TailSample:
     """(S_n, max_k S_k, min_k S_k) per replicate path of length n, in process
-    units, S_0 = 0 included.  ``step`` is the lattice step of a lattice chain
-    (None otherwise) and makes tail queries exact."""
+    units, S_0 = 0 included.  ``step`` is the chain's lattice step and makes
+    tail queries exact."""
 
     n: int
-    step: float | None
+    step: float
     s: np.ndarray
     smax: np.ndarray
     smin: np.ndarray
 
 
-def path_statistics(process, n: int, replicates: int, seed: int) -> TailSample:
-    """Simulate a tail sample; the one place where tail samples are simulated.
+def path_statistics(process: FiniteChain, n: int, replicates: int,
+                    seed: int) -> TailSample:
+    """Simulate a tail sample of a finite chain; the one place where tail
+    samples are simulated.
 
     Chunked lockstep simulation; replicate substreams make the output
     independent of chunking.
     """
-    ranges = _chunk_ranges(replicates, n)
-    if isinstance(process, FiniteChain):
-        job = lambda reps: _chain_running_stats(process, path_uniforms(seed, n, reps))
-        step = process.step
-    elif isinstance(process, LsvProcess):
-        job = lambda reps: lsv_running_stats(process, [n], seed, reps)[0]
-        step = None
-    else:
+    if not isinstance(process, FiniteChain):
         raise TypeError(f"unsupported process type {type(process).__name__}")
-    parts = [job(reps) for reps in ranges]
-    scale = 1.0 if step is None else step
-    s, smax, smin = (np.concatenate(stat).astype(float) * scale for stat in zip(*parts))
+    parts = [_chain_running_stats(process, path_uniforms(seed, n, reps))
+             for reps in _chunk_ranges(replicates, n)]
+    step = process.step
+    s, smax, smin = (np.concatenate(stat).astype(float) * step for stat in zip(*parts))
     return TailSample(n=n, step=step, s=s, smax=smax, smin=smin)
 
 
@@ -188,7 +171,7 @@ def empirical_tail(sample: TailSample, x: float, statistic: str = "max") -> Tail
 
     ``statistic`` selects the one-sided running maximum (``"max"``) or the
     two-sided ``max_k |S_k|`` (``"absmax"``).  The comparison against x is
-    exact on lattice chains (integer threshold).
+    exact (integer lattice threshold).
     """
     replicates = len(sample.smax)
     if replicates < MIN_TAIL_REPLICATES:
@@ -196,11 +179,8 @@ def empirical_tail(sample: TailSample, x: float, statistic: str = "max") -> Tail
     if statistic not in ("max", "absmax"):
         raise ValueError("statistic must be 'max' or 'absmax'")
     stat = sample.smax if statistic == "max" else np.maximum(sample.smax, -sample.smin)
-    if sample.step is not None and x > 0:
-        thr = _lattice_threshold(x, sample.step) * sample.step
-        hits = int(np.count_nonzero(stat >= thr - 0.5 * sample.step))
-    else:
-        hits = int(np.count_nonzero(stat >= x))
+    thr = _lattice_threshold(x, sample.step) * sample.step
+    hits = int(np.count_nonzero(stat >= thr - 0.5 * sample.step))
     lo, hi = clopper_pearson(hits, replicates)
     return TailEstimate(p_hat=hits / replicates, ci_low=lo, ci_high=hi)
 

@@ -8,7 +8,9 @@ the chosen directory as CSV / JSON / .dat files.
 
 Every command reads its config through :func:`_read_config`, which checks
 the keys against the command's table in ``CONFIG_DEFAULTS``, and its
-``summary.json`` echoes the settings as run (:func:`_emit`).
+``summary.json`` echoes the settings as run (:func:`_emit`).  A config or
+input that the reader or a pipeline refuses (a ValueError) ends the run with
+one line, ``Error: <message>``, and exit status 1 (:class:`_Main`).
 """
 
 from __future__ import annotations
@@ -115,7 +117,18 @@ def with_common(fn):
     return config_option(seed_option(out_option(fn)))
 
 
-@click.group()
+class _Main(click.Group):
+    """The top-level group: a refused config or pipeline input (ValueError)
+    ends in one line, ``Error: <message>``, and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Dependence-coefficient, tail-bound and Gaussian-coupling experiments."""
 
@@ -137,7 +150,7 @@ def coeffs(config_path, out_dir, p, q, horizon):
     rows = [{"k": k, "value": float(v)} for k, v in enumerate(table.values)]
     _emit(out_dir, settings,
           {"sigma2": sigma2, "theta1": summary.theta1, "theta2": summary.theta2,
-           "tail_rate": table.tail.rate,
+           "tail_rate": table.rate,
            "truncation_bound": coef.theta_truncation_bound(process, p,
                                                            coef.TUPLE_HORIZON)},
           {"theta": rows}, p=p, q=q, horizon=horizon)

@@ -33,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import zeta
 
 from .processes import FiniteChain
 
@@ -243,35 +242,13 @@ def is_degenerate(chain: FiniteChain) -> bool:
 # Coefficient tables and series summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailModel:
-    """Caller-declared decay of theta(k) beyond the tabulated horizon.
-
-    * ``zero``       : theta(k) = 0 for k > K.
-    * ``geometric``  : theta(k) = values[K] * rate**(k - K).
-    * ``polynomial`` : theta(k) = coefficient * k**(1 - p_exponent).
-    """
-
-    kind: str
-    rate: float = 0.0
-    coefficient: float = 0.0
-    p_exponent: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "geometric", "polynomial"):
-            raise ValueError(f"unknown tail model {self.kind!r}")
-        if self.kind == "geometric" and not 0.0 <= self.rate < 1.0:
-            raise ValueError("geometric tail rate must lie in [0, 1)")
-        if self.kind == "polynomial" and self.coefficient < 0:
-            raise ValueError("polynomial tail coefficient must be nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class ThetaTable:
-    """Finite nonincreasing coefficient table theta(0..K) plus a tail model."""
+    """Finite nonincreasing coefficient table theta(0..K) plus a geometric
+    tail theta(K + j) = values[K] * rate**j; rate 0 means no tail."""
 
     values: np.ndarray
-    tail: TailModel
+    rate: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -281,35 +258,23 @@ class ThetaTable:
             raise ValueError("theta values must be nonnegative")
         if np.any(np.diff(v) > 1e-12):
             raise ValueError("theta values must be nonincreasing")
+        if not 0.0 <= self.rate < 1.0:
+            raise ValueError("geometric tail rate must lie in [0, 1)")
         object.__setattr__(self, "values", v)
-        if self.tail.kind == "polynomial" and v[-1] > 0:
-            predicted = self.tail.coefficient * self.horizon ** (1.0 - self.tail.p_exponent)
-            if not (0.5 * v[-1] <= predicted <= 2.0 * v[-1]):
-                raise ValueError("declared polynomial tail does not match "
-                                 "values[K] within factor 2")
 
     @property
     def horizon(self) -> int:
         return len(self.values) - 1
 
-    def theta_at(self, k: int) -> float:
-        if k <= self.horizon:
-            return float(self.values[k])
-        if self.tail.kind == "zero":
-            return 0.0
-        if self.tail.kind == "geometric":
-            return float(self.values[-1]) * self.tail.rate ** (k - self.horizon)
-        return self.tail.coefficient * float(k) ** (1.0 - self.tail.p_exponent)
-
 
 def theta_table_from_chain(chain: FiniteChain, p: int, q: int, horizon: int,
-                           tail: TailModel,
+                           rate: float,
                            tuple_horizon: int = TUPLE_HORIZON) -> ThetaTable:
     """Tabulate theta(0..horizon) exactly, in one pass of the pattern table
-    over every lag; the tail model is caller-declared."""
+    over every lag; the geometric tail rate is caller-declared."""
     vals = _theta_lags(chain, p, q, 0, horizon, tuple_horizon)
     vals = np.minimum.accumulate(vals)  # crush 1e-16 enumeration noise
-    return ThetaTable(values=vals, tail=tail)
+    return ThetaTable(values=vals, rate=rate)
 
 
 # Geometric tail helpers, all shifted to a starting index a:
@@ -334,8 +299,7 @@ class SeriesSummary:
     """Aggregate dependence sums feeding the tail bound.
 
     ``weighted(x)`` evaluates ``sum_{k>=1} k (k ^ x) theta(k)`` with the
-    minimum taken exactly; ``theta2`` is +inf when the declared tail makes the
-    series diverge (consumers must refuse such summaries).
+    minimum taken exactly.
     """
 
     theta1: float
@@ -346,24 +310,23 @@ class SeriesSummary:
 
 def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSummary:
     """Theta_1 = 1 + sum theta(k), Theta_2 = 1 + sum k theta(k), and the
-    weighted evaluator, with tail-model remainders summed in closed form."""
+    weighted evaluator, with the geometric tail summed in closed form."""
     v = table.values
     kk = np.arange(len(v), dtype=float)
     head1 = float(v[1:].sum())
     head2 = float((kk[1:] * v[1:]).sum())
     k_horizon = table.horizon
-    tail = table.tail
+    rho = table.rate
     anchor = float(v[-1])
 
-    if tail.kind == "zero" or (tail.kind == "geometric" and (anchor == 0.0 or tail.rate == 0.0)):
+    if anchor == 0.0 or rho == 0.0:
         tail1 = tail2 = 0.0
 
         def tail_weighted(x: float) -> float:
             return 0.0
-    elif tail.kind == "geometric":
+    else:
         # theta(K + j) = anchor * rho^j; all sums are taken in the shifted
         # index j so no rho^{-K} blowup can occur.
-        rho = tail.rate
         kf = float(k_horizon)
 
         def shift1(a: int) -> float:        # sum_{j>=a} (K + j) rho^j
@@ -383,21 +346,6 @@ def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSumm
             sq = anchor * (shift2(1) - shift2(j_m + 1))
             lin = x * anchor * shift1(j_m + 1)
             return sq + lin
-    else:
-        c, pe = tail.coefficient, tail.p_exponent
-        tail1 = c * float(zeta(pe - 1.0, k_horizon + 1)) if pe > 2.0 else math.inf
-        tail2 = c * float(zeta(pe - 2.0, k_horizon + 1)) if pe > 3.0 else math.inf
-
-        def tail_weighted(x: float) -> float:
-            m = math.floor(x)
-            if m <= k_horizon:
-                return x * tail2
-            if pe <= 3.0:
-                return math.inf
-            ks = np.arange(k_horizon + 1, m + 1, dtype=float)
-            sq = c * float(np.sum(ks ** (3.0 - pe)))
-            lin = x * c * float(zeta(pe - 2.0, m + 1))
-            return sq + lin
 
     def weighted(x: float) -> float:
         if x < 0:
@@ -414,8 +362,8 @@ def certified_theta_table(chain: FiniteChain, p: int, q: int,
     """Exact theta(0..horizon) with a geometric tail at the rate delta^(1/r),
     capped just below 1, of the chain's certificate (which certifies sigma2 too)."""
     cert = certify(chain)
-    tail = TailModel("geometric", rate=min(0.999999, cert.delta ** (1.0 / cert.r)))
-    return theta_table_from_chain(chain, p, q, horizon, tail)
+    return theta_table_from_chain(chain, p, q, horizon,
+                                  min(0.999999, cert.delta ** (1.0 / cert.r)))
 
 
 def summarize_chain(chain: FiniteChain, horizon: int = 16) -> SeriesSummary:
@@ -432,9 +380,10 @@ def summarize_chain(chain: FiniteChain, horizon: int = 16) -> SeriesSummary:
 def degenerate_moment_bound(m_sup: float, q: float, table: ThetaTable) -> float:
     """Moment bound q (2M)^q sum_{k>=0} (k+1)^{q-1} theta(k) for degenerate sums.
 
-    Tail terms beyond the table are summed numerically, up to lag 10^6, under
-    the declared model with a certified upper remainder; divergent declared
-    tails give +inf.
+    Terms of the geometric tail beyond the table are summed one by one until
+    the remainder, bounded by a geometric series in the term ratio, is below
+    1e-16 of the total.  Returns +inf when that has not happened by lag 10^6,
+    as for rate 0.999999 at q = 2.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -442,12 +391,11 @@ def degenerate_moment_bound(m_sup: float, q: float, table: ThetaTable) -> float:
     v = table.values
     kk = np.arange(len(v), dtype=float)
     total = float(((kk + 1.0) ** (q - 1.0) * v).sum())
-    tail = table.tail
     k_horizon = table.horizon
     anchor = float(v[-1])
 
-    if tail.kind == "geometric" and anchor > 0.0 and tail.rate > 0.0:
-        rho, term_k = tail.rate, k_horizon + 1
+    if anchor > 0.0 and table.rate > 0.0:
+        rho, term_k = table.rate, k_horizon + 1
         term = (term_k + 1.0) ** (q - 1.0) * anchor * rho
         while term_k < numeric_horizon:
             total += term
@@ -459,13 +407,4 @@ def degenerate_moment_bound(m_sup: float, q: float, table: ThetaTable) -> float:
             term = (term_k + 1.0) ** (q - 1.0) * anchor * rho ** (term_k - k_horizon)
         else:
             return math.inf
-    elif tail.kind == "polynomial" and tail.coefficient > 0.0:
-        c, pe = tail.coefficient, tail.p_exponent
-        if q >= pe - 1.0:
-            return math.inf
-        ks = np.arange(k_horizon + 1, numeric_horizon, dtype=float)
-        total += c * float(((ks + 1.0) ** (q - 1.0) * ks ** (1.0 - pe)).sum())
-        # (t+1)^{q-1} <= (2t)^{q-1} for t >= 1 gives an integral upper remainder
-        total += (c * 2.0 ** (q - 1.0)
-                  * numeric_horizon ** (q - pe + 1.0) / (pe - 1.0 - q))
     return q * (2.0 * m_sup) ** q * total

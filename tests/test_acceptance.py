@@ -16,12 +16,12 @@ from click.testing import CliRunner
 from scipy.stats import kstest
 
 from weakdep import (ExperimentConfig, build_finite_chain, donsker_wasserstein,
-                     flip_chain, fuk_nagaev_rhs, make_coboundary,
+                     flip_chain, make_coboundary,
                      make_schedule, run_degenerate_suite, run_rate_experiment,
                      series_summary, sigma2_exact, theta_exact)
-from weakdep.bounds import (fit_constants, params_from_summary, tail_grid,
-                            validate_constants)
-from weakdep.coefficients import TailModel, ThetaTable, summarize_chain
+from weakdep.bounds import (bound_terms, fit_constants, params_from_summary,
+                            tail_grid, validate_constants)
+from weakdep.coefficients import ThetaTable, summarize_chain
 from weakdep.coupling import build_coupling, coupling_errors
 from weakdep.cli import main
 from weakdep.processes import process_to_config, symmetrize
@@ -126,11 +126,11 @@ def test_criterion_04_bound_dominance(chain, flip_summary):
 
 def test_criterion_05_polynomial_regime_slope():
     t0 = time.perf_counter()
-    table = ThetaTable(values=0.5 ** np.arange(9), tail=TailModel("zero"))
+    table = ThetaTable(values=0.5 ** np.arange(9), rate=0.0)
     summ = series_summary(table, sigma2=3.0)
     n = 80_000
     xs = np.geomspace(2.0 * math.sqrt(n), n / 2.0, 25)
-    rhs = [fuk_nagaev_rhs(params_from_summary(summ, n, float(x)))
+    rhs = [sum(bound_terms(params_from_summary(summ, n, float(x))))
            for x in xs]
     decade = xs >= xs[-1] / 10.0
     slope = float(np.polyfit(np.log(xs[decade]),

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakdep import (ConstantsFit, FukNagaevParams, empirical_tail, fit_constants,
-                     flip_chain, fuk_nagaev_rhs, make_coboundary, series_summary,
-                     tail_grid, validate_constants)
+                     flip_chain, make_coboundary, series_summary, tail_grid,
+                     validate_constants)
 from weakdep import bounds, experiments
-from weakdep.bounds import (clopper_pearson, degenerate_moment_check,
-                            params_from_summary, path_statistics,
-                            series_convergence_check)
-from weakdep.coefficients import TailModel, ThetaTable, summarize_chain
+from weakdep.bounds import (TailSample, bound_terms, clopper_pearson,
+                            degenerate_moment_check, params_from_summary,
+                            path_statistics, series_convergence_check)
+from weakdep.coefficients import SeriesSummary, ThetaTable, summarize_chain
 from weakdep.experiments import ExperimentConfig, run_degenerate_suite
 
 from _oracles import srw_max_tail_dp, srw_max_tail_reflection
@@ -24,53 +24,43 @@ from _oracles import srw_max_tail_dp, srw_max_tail_reflection
 
 def test_rhs_worked_example():
     pars = FukNagaevParams(n=1000, x=200.0, sigma2=1.0, theta1=1.0, theta2=1.0,
-                           weighted_x=0.0, c1=1.0, c2=1.0)
+                           weighted_x=0.0)
     gauss = 0.025 ** 4 * math.exp(-2.5)
     poly = 1000 / 200.0 ** 4
-    assert fuk_nagaev_rhs(pars) == pytest.approx(gauss + poly, rel=1e-12)
-    assert fuk_nagaev_rhs(pars) == pytest.approx(6.57e-7, rel=1e-2)
+    assert sum(bound_terms(pars)) == pytest.approx(gauss + poly, rel=1e-12)
+    assert sum(bound_terms(pars)) == pytest.approx(6.57e-7, rel=1e-2)
 
 
 def test_rhs_indicator_suppresses_gaussian_term():
     pars = FukNagaevParams(n=500, x=50.0, sigma2=0.0, theta1=2.0, theta2=3.0,
-                           weighted_x=4.0, c1=7.0, c2=2.0)
-    assert fuk_nagaev_rhs(pars) == pytest.approx(
+                           weighted_x=4.0)
+    gauss, poly = bound_terms(pars)
+    assert gauss == 0.0
+    assert 7.0 * gauss + 2.0 * poly == pytest.approx(
         2.0 * 500 / 50.0 ** 4 * (6.0 + 4.0), rel=1e-12)
-
-
-@given(st.floats(min_value=0.1, max_value=100.0))
-@settings(max_examples=25)
-def test_rhs_linear_in_c2(c2):
-    base = FukNagaevParams(n=100, x=30.0, sigma2=2.0, theta1=1.5, theta2=2.5,
-                           weighted_x=1.0, c1=1.0, c2=c2)
-    double = FukNagaevParams(n=100, x=30.0, sigma2=2.0, theta1=1.5, theta2=2.5,
-                             weighted_x=1.0, c1=1.0, c2=2.0 * c2)
-    poly = c2 * 100 / 30.0 ** 4 * (1.5 * 2.5 + 1.0)
-    assert (fuk_nagaev_rhs(double) - fuk_nagaev_rhs(base)
-            == pytest.approx(poly, rel=1e-12))
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         FukNagaevParams(n=0, x=1.0, sigma2=1.0, theta1=1.0, theta2=1.0,
-                        weighted_x=0.0, c1=1.0, c2=1.0)
+                        weighted_x=0.0)
     with pytest.raises(ValueError, match="divergent"):
         FukNagaevParams(n=10, x=1.0, sigma2=1.0, theta1=1.0, theta2=math.inf,
-                        weighted_x=0.0, c1=1.0, c2=1.0)
+                        weighted_x=0.0)
     with pytest.raises(ValueError):
         FukNagaevParams(n=10, x=-1.0, sigma2=1.0, theta1=1.0, theta2=1.0,
-                        weighted_x=0.0, c1=1.0, c2=1.0)
+                        weighted_x=0.0)
 
 
 def test_polynomial_regime_slope():
     # theta supported on k <= 8, finite Theta2: slope of log rhs in log x
     # approaches -4 over the last decade once the Gaussian term has died.
     vals = 0.5 ** np.arange(9)
-    table = ThetaTable(values=vals, tail=TailModel("zero"))
+    table = ThetaTable(values=vals, rate=0.0)
     summ = series_summary(table, sigma2=3.0)
     n = 80_000
     xs = np.geomspace(2.0 * math.sqrt(n), n / 2.0, 25)
-    rhs = [fuk_nagaev_rhs(params_from_summary(summ, n, float(x)))
+    rhs = [sum(bound_terms(params_from_summary(summ, n, float(x))))
            for x in xs]
     decade = xs >= xs[-1] / 10.0
     slope = np.polyfit(np.log(xs[decade]), np.log(np.asarray(rhs)[decade]), 1)[0]
@@ -136,12 +126,13 @@ def test_clopper_pearson_matches_beta_quantiles():
             assert hi == (1.0 if k == n else float(beta.ppf(1.0 - a, k + 1, n - k)))
 
 
-def test_lsv_tail_estimate_runs():
+def test_path_statistics_refuses_lsv():
+    # no command simulates a tail sample on the LSV map
     from weakdep.processes import LsvObservable, LsvProcess
     proc = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),
                       burn_in=100)
-    est = empirical_tail(path_statistics(proc, 64, 200, seed=2), 2.0)
-    assert 0.0 <= est.p_hat <= 1.0
+    with pytest.raises(TypeError, match="LsvProcess"):
+        path_statistics(proc, 64, 200, seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +225,38 @@ def test_fit_constants_degenerate_uses_only_c2(flip_summary):
 
 
 def test_fit_and_check_rhs_is_the_bound_form(flip_summary):
-    # the fit and the check evaluate fuk_nagaev_rhs itself, to the last bit
+    # the fit and the check evaluate c1 * gauss + c2 * poly of bound_terms, to
+    # the last bit
     chain, summ = flip_summary
     fit = fit_constants(chain, tail_grid([64, 128], 3, chain.sup_norm), 1000,
                         seed=41, summary=summ)
     hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
     _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ)
     for row in fit.rows + rows:
-        params = params_from_summary(summ, row["n"], row["x"], fit.c1, fit.c2)
-        assert row["rhs"] == fuk_nagaev_rhs(params)
+        gauss, poly = bound_terms(params_from_summary(summ, row["n"], row["x"]))
+        assert row["rhs"] == fit.c1 * gauss + fit.c2 * poly
+
+
+def test_check_compares_rhs_with_the_upper_limit(flip_summary):
+    # A bound between p_hat and ci_high of a holdout row does not dominate it:
+    # the check reads the upper confidence limit, not the point estimate.
+    chain, summ = flip_summary
+    hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
+    fit = ConstantsFit(c1=1.0, c2=1.0)
+    _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ)
+    i = max(range(len(rows)), key=lambda j: rows[j]["p_hat"])
+    factor = 0.5 * (rows[i]["p_hat"] + rows[i]["ci_high"]) / rows[i]["rhs"]
+    scaled = ConstantsFit(c1=factor * fit.c1, c2=factor * fit.c2)
+    ok, rows = validate_constants(chain, scaled, hold, 1000, seed=42, summary=summ)
+    assert rows[i]["p_hat"] < rows[i]["rhs"] < rows[i]["ci_high"]
+    assert rows[i]["dominates"] is False
+    assert not ok
 
 
 def test_divergent_summary_refused(flip_summary):
-    # Theta_2 = inf under a polynomial tail with p_exponent <= 3
     chain, _ = flip_summary
-    table = ThetaTable(values=np.r_[1.0, np.arange(1, 9) ** -1.5],
-                       tail=TailModel("polynomial", coefficient=1.0, p_exponent=2.5))
-    summ = series_summary(table, sigma2=3.0)
-    assert math.isinf(summ.theta2)
+    summ = SeriesSummary(theta1=2.0, theta2=math.inf, weighted=lambda x: 1.0,
+                         sigma2=3.0)
     grid = tail_grid([64], 2, chain.sup_norm)
     with pytest.raises(ValueError, match="divergent"):
         fit_constants(chain, grid, 200, seed=1, summary=summ)
@@ -261,7 +266,7 @@ def test_divergent_summary_refused(flip_summary):
 
 
 def test_summary_without_sigma2_refused():
-    summ = series_summary(ThetaTable(values=0.5 ** np.arange(9), tail=TailModel("zero")))
+    summ = series_summary(ThetaTable(values=0.5 ** np.arange(9), rate=0.0))
     with pytest.raises(ValueError, match="no sigma2"):
         params_from_summary(summ, 64, 20.0)
 
@@ -299,6 +304,19 @@ def test_series_convergence_check_walk(iid_chain):
     for row in out["rows"]:
         exact = srw_max_tail_dp(row["n"], math.ceil(row["x"]))
         assert row["ci_low"] <= exact <= row["ci_high"]
+
+
+@pytest.mark.parametrize("alpha, p", [(0.75, 4.0), (1.0, 2.0)])
+def test_series_does_not_decay_when_last_summand_reaches_first(alpha, p):
+    # Every path reaches n, so each tail is 1 and the summands are
+    # n^(alpha p - 2): growing at alpha p = 3, equal at alpha p = 2.
+    sims = []
+    for n in (64, 128, 256):
+        top = np.full(bounds.MIN_TAIL_REPLICATES, float(n))
+        sims.append(TailSample(n=n, step=1.0, s=top, smax=top, smin=np.zeros_like(top)))
+    out = series_convergence_check(sims, alpha, p, 1.0)
+    assert out["rows"][-1]["summand"] >= out["rows"][0]["summand"] > 0.0
+    assert out["decays"] is False
 
 
 def test_series_epsilon_scaling_weakly_decreases(iid_chain):
@@ -354,19 +372,15 @@ def test_degenerate_null_observable_moments_zero(flip25):
 
 
 def test_path_statistics_chunking_invariance(monkeypatch, flip25):
-    from weakdep.processes import LsvObservable, LsvProcess
-    lsv = LsvProcess(gamma=0.3, observable=LsvObservable("identity", 0.4),
-                     burn_in=50)
-    for process, n, seed in ((flip25, 200, 11), (lsv, 40, 12)):
-        whole = path_statistics(process, n, 1000, seed)
-        # 37 replicates per chunk: 28 chunks, the last one partial
-        monkeypatch.setattr(bounds, "_CHUNK_ELEMENT_BUDGET", 37 * (n + 1))
-        assert len(bounds._chunk_ranges(1000, n)) == 28
-        chunked = path_statistics(process, n, 1000, seed)
-        monkeypatch.undo()
-        for stat in ("s", "smax", "smin"):
-            assert np.array_equal(getattr(whole, stat), getattr(chunked, stat))
-        assert empirical_tail(whole, 6.0) == empirical_tail(chunked, 6.0)
+    n, seed = 200, 11
+    whole = path_statistics(flip25, n, 1000, seed)
+    # 37 replicates per chunk: 28 chunks, the last one partial
+    monkeypatch.setattr(bounds, "_CHUNK_ELEMENT_BUDGET", 37 * (n + 1))
+    assert len(bounds._chunk_ranges(1000, n)) == 28
+    chunked = path_statistics(flip25, n, 1000, seed)
+    for stat in ("s", "smax", "smin"):
+        assert np.array_equal(getattr(whole, stat), getattr(chunked, stat))
+    assert empirical_tail(whole, 6.0) == empirical_tail(chunked, 6.0)
 
 
 def test_tail_grid_regimes(flip25):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -31,6 +32,13 @@ COBOUNDARY = process_to_config(make_coboundary(flip_chain(0.25), [1.0, -1.0]))
 @pytest.fixture()
 def chain_doc():
     return dict(FLIP)
+
+
+def package_env():
+    """The environment of a fresh interpreter that imports this weakdep."""
+    src = str(Path(weakdep.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -68,9 +76,9 @@ def test_rates_config_without_n_list_rejected(tmp_path, chain_doc):
     cfg = write_config(tmp_path, {"process": chain_doc})
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["rates", "--config", cfg, "--out", str(out)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ValueError)
-    assert str(result.exception) == 'config needs an "n_list" key'
+    assert result.exit_code == 1
+    assert result.output == 'Error: config needs an "n_list" key\n'
+    assert "Traceback" not in result.output
     assert not out.exists()
 
 
@@ -152,9 +160,22 @@ def test_config_typo_rejected(tmp_path, chain_doc, command, doc, typo):
     cfg = write_config(tmp_path, {"process": chain_doc, **doc})
     out = tmp_path / "out"
     result = CliRunner().invoke(main, command + ["--config", cfg, "--out", str(out)])
-    assert result.exit_code != 0
-    assert str(result.exception) == f"unknown config keys: {typo}"
+    assert result.exit_code == 1
+    assert result.output == f"Error: unknown config keys: {typo}\n"
+    assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_config_refusal_is_one_line_on_stderr(tmp_path):
+    # the shipped rates config with a misspelt key, run as a program
+    doc = json.loads((CONFIGS / "rates_flip.json").read_text())
+    cfg = write_config(tmp_path, {**doc, "varient": "inflated"})
+    out = subprocess.run([sys.executable, "-m", "weakdep", "rates", "--config", cfg,
+                          "--out", str(tmp_path / "out")],
+                         env=package_env(), capture_output=True, text=True)
+    assert out.returncode == 1
+    assert (out.stdout, out.stderr) == ("", "Error: unknown config keys: varient\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, doc, message", [
@@ -226,8 +247,9 @@ def test_config_key_not_read_rejected(tmp_path, command, doc, unread):
                                   "seed": 1})
     out = tmp_path / "out"
     result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
-    assert result.exit_code != 0
-    assert str(result.exception) == f"unknown config keys: {unread}"
+    assert result.exit_code == 1
+    assert result.output == f"Error: unknown config keys: {unread}\n"
+    assert "Traceback" not in result.output
     assert not out.exists()
 
 
@@ -236,9 +258,9 @@ def test_config_without_process_rejected(tmp_path, command):
     cfg = write_config(tmp_path, {})
     out = tmp_path / "out"
     result = CliRunner().invoke(main, command + ["--config", cfg, "--out", str(out)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ValueError)
-    assert str(result.exception) == 'config needs a "process" key'
+    assert result.exit_code == 1
+    assert result.output == 'Error: config needs a "process" key\n'
+    assert "Traceback" not in result.output
     assert not out.exists()
 
 
@@ -254,9 +276,10 @@ def test_shipped_configs_match_generator():
 
 
 def test_benchmark_tracer_targets_exist():
-    # The tracer wraps weakdep functions by name; a rename would leave a
-    # traced run without its layer.  The file is compiled from its text, so
-    # nothing is written under benchmarks/.
+    # The tracer wraps weakdep functions by name, and the workloads' checks
+    # import weakdep names; a rename or deletion would leave a traced run
+    # without its layer or a check that cannot run.  Both files are read as
+    # text, so nothing is written under benchmarks/.
     path = ROOT / "benchmarks" / "tracing.py"
     tracing = {"__name__": "tracing"}
     exec(compile(path.read_text(), str(path), "exec"), tracing)
@@ -264,6 +287,15 @@ def test_benchmark_tracer_targets_exist():
     for module, fn in targets:
         assert callable(getattr(importlib.import_module(f"weakdep.{module}"), fn, None)), \
             f"{module}.{fn}"
+    workloads = ROOT / "benchmarks" / "workloads.py"
+    imports = [(node.module, alias.name)
+               for node in ast.walk(ast.parse(workloads.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "weakdep"
+               for alias in node.names]
+    assert ("weakdep.coupling", "build_coupling") in imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 @pytest.mark.parametrize("name, allowed", [
@@ -335,13 +367,10 @@ def test_readme_config_table_matches_config_defaults():
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    src = str(Path(weakdep.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, weakdep.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+        env=package_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
 

@@ -13,10 +13,9 @@ from weakdep.coupling import build_coupling, coupling_errors
 from weakdep.experiments import fit_power_law
 from weakdep import coefficients, experiments, processes
 from weakdep.coefficients import is_degenerate
-from weakdep.bounds import path_statistics
 from weakdep.cli import _read_config
-from weakdep.processes import (LsvObservable, LsvProcess, process_to_config,
-                               sample_lsv_ensemble)
+from weakdep.processes import (LsvObservable, LsvProcess, lsv_running_stats,
+                               process_to_config, sample_lsv_ensemble)
 
 
 def small_config(chain, **kw):
@@ -113,10 +112,10 @@ def test_lsv_direct_rows_match_full_orbit_matrix(monkeypatch):
         sums = np.cumsum(vals, axis=1)
         smax = np.max(np.abs(sums), axis=1)
         assert row["sup_l2"] == math.sqrt(float(np.mean(smax ** 2)))
-        sample = path_statistics(process, row["n"], 16, seed=5)
-        assert np.array_equal(sample.s, sums[:, -1])
-        assert np.array_equal(sample.smax, np.maximum(sums.max(axis=1), 0.0))
-        assert np.array_equal(sample.smin, np.minimum(sums.min(axis=1), 0.0))
+        s, s_max, s_min = lsv_running_stats(process, [row["n"]], 5, range(16))[0]
+        assert np.array_equal(s, sums[:, -1])
+        assert np.array_equal(s_max, np.maximum(sums.max(axis=1), 0.0))
+        assert np.array_equal(s_min, np.minimum(sums.min(axis=1), 0.0))
 
 
 def _no_orbits(*args, **kw):
