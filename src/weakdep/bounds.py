@@ -26,6 +26,7 @@ from .processes import FiniteChain, chain_walk, path_uniforms
 
 _CHUNK_ELEMENT_BUDGET = 8_000_000   # replicates x (n+1) doubles per chunk
 MIN_TAIL_REPLICATES = 100           # fewest replicates a tail estimate accepts
+SEARCH_BOX = (1e-3, 1e6)            # range of the fitted constants' log lattice
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +186,6 @@ def empirical_tail(sample: TailSample, x: float, statistic: str = "max") -> Tail
     return TailEstimate(p_hat=hits / replicates, ci_low=lo, ci_high=hi)
 
 
-def _samples_by_n(process, grid, replicates: int, seed: int) -> dict[int, TailSample]:
-    """One simulated sample per distinct n of an (n, x) grid."""
-    return {n: path_statistics(process, n, replicates, seed)
-            for n in dict.fromkeys(n for n, _ in grid)}
-
-
 # ---------------------------------------------------------------------------
 # Constant fitting
 # ---------------------------------------------------------------------------
@@ -224,9 +219,11 @@ def tail_grid(n_values, points_per_n: int, sup_norm: float,
 class ConstantsFit:
     c1: float
     c2: float
-    binding: list = field(default_factory=list)
     rows: list = field(default_factory=list)
-    search_box: tuple = (1e-3, 1e6)
+
+    @property
+    def binding(self) -> list:
+        return [row for row in self.rows if row["binding"]]
 
 
 def _grid_terms(summary: SeriesSummary, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -234,6 +231,18 @@ def _grid_terms(summary: SeriesSummary, grid) -> tuple[np.ndarray, np.ndarray]:
     terms = np.array([bound_terms(params_from_summary(summary, n, x)) for n, x in grid],
                      dtype=float).reshape(-1, 2)
     return terms[:, 0], terms[:, 1]
+
+
+def _tail_rows(process, grid, replicates: int, seed: int, summary: SeriesSummary):
+    """The pass the fit and the check share: the ``n, x, p_hat, ci_low,
+    ci_high`` rows, the tail estimates and the Gaussian (a) and polynomial (b)
+    term columns of an (n, x) grid, from one simulated sample per distinct n.
+    A summary the bound refuses fails before anything is simulated."""
+    a, b = _grid_terms(summary, grid)
+    samples = {n: path_statistics(process, n, replicates, seed)
+               for n in dict.fromkeys(n for n, _ in grid)}
+    ests = [empirical_tail(samples[n], x) for n, x in grid]
+    return [{"n": n, "x": x, **vars(est)} for (n, x), est in zip(grid, ests)], ests, a, b
 
 
 def _envelope_constraints(grid, ests, summary):
@@ -262,12 +271,25 @@ def _envelope_constraints(grid, ests, summary):
     return np.asarray(rows_a), np.asarray(rows_b), np.asarray(rows_u)
 
 
+def _lattice_constants(a, b, targets, box) -> tuple[float, float]:
+    """Least-product lattice pair (c1, c2), 8 points per decade of ``box``,
+    with c1 * a + c2 * b >= targets; see ``fit_constants``."""
+    lo, hi = box
+    lattice = np.geomspace(lo, hi, int(round(8 * (math.log10(hi) - math.log10(lo)))) + 1)
+    need = np.max((targets[:, None] - a[:, None] * lattice) / b[:, None], axis=0)
+    idx = np.searchsorted(lattice, need)
+    fits = idx < len(lattice)
+    if not fits.any():
+        raise ValueError(f"no finite constants found within search box {box}")
+    c1s, c2s = lattice[fits], lattice[idx[fits]]
+    best = np.lexsort((c1s, c2s, c1s * c2s))[0]
+    return float(c1s[best]), float(c2s[best])
+
+
 def fit_constants(process, grid, replicates: int, seed: int, *,
-                  summary: SeriesSummary,
-                  search_box: tuple[float, float] = (1e-3, 1e6),
-                  statistic: str = "max") -> ConstantsFit:
+                  summary: SeriesSummary) -> ConstantsFit:
     """Smallest constants on a log lattice (8 points per decade of
-    ``search_box``) whose bound dominates the empirical tail curve over the
+    ``SEARCH_BOX``) whose bound dominates the empirical tail curve over the
     training grid.
 
     Dominance is required at every grid point (rhs >= ci_high) and, through
@@ -276,88 +298,38 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
     envelope is what makes fitted constants transfer to disjoint holdout
     grids instead of relying on lattice overshoot.
 
-    "Smallest" means minimal product c1 * c2 (ties broken toward smaller c2
-    then c1).  sigma2 and the dependence sums come from ``summary``.  When
-    every Gaussian term is 0 (sigma2 == 0, or a tiny sigma2 whose term
-    underflows) the Gaussian constant is irrelevant and pinned at the box
-    minimum.  Raises when even the box corner fails, which signals a bound
-    violation or broken inputs.
+    Each lattice c1 takes the least lattice c2 at or above the envelope
+    c2(c1) = max((target - c1 * a) / b); every polynomial term b is
+    positive, so c2(c1) is always defined.  "Smallest" means minimal product
+    c1 * c2 (ties broken toward smaller c2 then c1).  sigma2 and the
+    dependence sums come from ``summary``.  When every Gaussian term a is 0
+    (sigma2 == 0, or a tiny sigma2 whose term underflows) c2(c1) is flat and
+    c1 lands on the box minimum.  Raises when no lattice pair dominates,
+    which signals a bound violation or broken inputs.
     """
-    a_pts, b_pts = _grid_terms(summary, grid)
-    samples = _samples_by_n(process, grid, replicates, seed)
-    ests = [empirical_tail(samples[n], x, statistic=statistic) for (n, x) in grid]
-    point_targets = np.array([e.ci_high for e in ests])
+    rows, ests, a, b = _tail_rows(process, grid, replicates, seed, summary)
+    targets = np.array([est.ci_high for est in ests])
     a_env, b_env, u_env = _envelope_constraints(grid, ests, summary)
-    targets = np.concatenate([point_targets, u_env])
-    a = np.concatenate([a_pts, a_env])
-    b = np.concatenate([b_pts, b_env])
-
-    lo, hi = search_box
-    decades = math.log10(hi) - math.log10(lo)
-    candidates = np.geomspace(lo, hi, int(round(8 * decades)) + 1)
-
-    best = None
-    gaussian_active = bool(np.any(a > 0))
-    c1_options = candidates if gaussian_active else candidates[:1]
-    for c2 in candidates:
-        residual = targets - c2 * b
-        needs = residual > 0
-        if not np.any(needs):
-            c1_req = 0.0
-        elif not gaussian_active:
-            continue
-        else:
-            with np.errstate(divide="ignore"):
-                c1_req = float(np.max(residual[needs] / a[needs])) \
-                    if np.all(a[needs] > 0) else math.inf
-        if not math.isfinite(c1_req):
-            continue
-        idx = int(np.searchsorted(c1_options, c1_req * (1.0 - 1e-12)))
-        if idx >= len(c1_options):
-            continue
-        c1 = float(c1_options[idx])
-        c2f = float(c2)
-        key = (c1 * c2f, c2f, c1)
-        if best is None or key < best[0]:
-            best = (key, c1, c2f)
-    if best is None:
-        raise ValueError(
-            f"no finite constants found within search box {search_box}")
-    _, c1, c2 = best
-
-    rhs = c1 * a_pts + c2 * b_pts
-    ratios = rhs / np.maximum(point_targets, 1e-300)
+    c1, c2 = _lattice_constants(np.r_[a, a_env], np.r_[b, b_env], np.r_[targets, u_env],
+                                SEARCH_BOX)
+    rhs = c1 * a + c2 * b
+    ratios = rhs / np.maximum(targets, 1e-300)
     min_ratio = float(ratios.min())
-    rows = []
-    binding = []
-    for i, ((n, x), est) in enumerate(zip(grid, ests)):
-        row = {"n": n, "x": x, "p_hat": est.p_hat, "ci_low": est.ci_low,
-               "ci_high": est.ci_high, "rhs": float(rhs[i]),
-               "binding": bool(ratios[i] <= min_ratio * (1.0 + 1e-9))}
-        rows.append(row)
-        if row["binding"]:
-            binding.append(row)
-    return ConstantsFit(c1=c1, c2=c2, binding=binding, rows=rows,
-                        search_box=search_box)
+    for row, value, ratio in zip(rows, rhs, ratios):
+        row["rhs"] = float(value)
+        row["binding"] = bool(ratio <= min_ratio * (1.0 + 1e-9))
+    return ConstantsFit(c1=c1, c2=c2, rows=rows)
 
 
 def validate_constants(process, fit: ConstantsFit, holdout_grid, replicates: int,
-                       seed: int, *, summary: SeriesSummary,
-                       statistic: str = "max") -> tuple[bool, list]:
-    """Check bound dominance over the holdout grid's upper confidence limits."""
-    a, b = _grid_terms(summary, holdout_grid)
-    samples = _samples_by_n(process, holdout_grid, replicates, seed)
-    rows = []
-    ok = True
-    for i, (n, x) in enumerate(holdout_grid):
-        est = empirical_tail(samples[n], x, statistic=statistic)
-        rhs = fit.c1 * a[i] + fit.c2 * b[i]
-        dominates = rhs >= est.ci_high
-        ok = ok and dominates
-        rows.append({"n": n, "x": x, "p_hat": est.p_hat, "ci_low": est.ci_low,
-                     "ci_high": est.ci_high, "rhs": float(rhs),
-                     "dominates": bool(dominates)})
-    return ok, rows
+                       seed: int, *, summary: SeriesSummary) -> tuple[bool, list]:
+    """Check bound dominance of the fit's constants over the holdout grid's
+    upper confidence limits."""
+    rows, _, a, b = _tail_rows(process, holdout_grid, replicates, seed, summary)
+    for row, value in zip(rows, fit.c1 * a + fit.c2 * b):
+        row["rhs"] = float(value)
+        row["dominates"] = bool(value >= row["ci_high"])
+    return all(row["dominates"] for row in rows), rows
 
 
 # ---------------------------------------------------------------------------

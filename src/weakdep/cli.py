@@ -182,7 +182,7 @@ def bound_fit(config_path, seed, out_dir):
                             int(settings["seed"]), summary=summary)
     _emit(out_dir, settings,
           {"c1": fit.c1, "c2": fit.c2, "sigma2": summary.sigma2,
-           "binding": fit.binding, "search_box": list(fit.search_box)},
+           "binding": fit.binding, "search_box": list(bnd.SEARCH_BOX)},
           {"training_grid": fit.rows})
     click.echo(f"c1={fit.c1!r} c2={fit.c2!r}")
 

@@ -144,22 +144,6 @@ class BlockDist:
     sums_int: np.ndarray | None = None
     end_state_probs: np.ndarray | None = None   # (atoms, n_states) joint mass
 
-    @classmethod
-    def from_atoms(cls, values, probs, **kw) -> "BlockDist":
-        values = np.asarray(values, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        order = np.argsort(values)
-        values, probs = values[order], probs[order]
-        if np.any(probs < 0):
-            raise ValueError("negative atom probability")
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("atom probabilities must sum to 1 within 1e-12")
-        return cls(values=values, probs=probs, cdf=np.cumsum(probs), **kw)
-
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
-
 
 @lru_cache(maxsize=32)
 def _block_tensor(chain: FiniteChain, m: int) -> tuple[np.ndarray, int]:

@@ -27,8 +27,6 @@ import numpy as np
 from .rng import Domain, path_stream, substreams
 
 ROW_SUM_TOL = 1e-12
-STATIONARY_TOL = 1e-10
-CENTER_TOL = 1e-10
 LATTICE_SNAP_TOL = 1e-9
 # Exact recentering refines the lattice by the denominator of the stationary
 # mean; beyond this the integer representation stops being practical.

@@ -14,7 +14,10 @@ variance-rate route to sigma2 (``partial_sum_variance``,
 are ``symmetrization_check`` (theta of the symmetrized pair process against
 its comparison bound) and ``block_coupling_second_moment`` (Monte Carlo
 E(U - V)^2 of one coupled block against its exact quadrature);
-``block_stream`` addresses one BLOCK substream.
+``block_stream`` addresses one BLOCK substream.  ``lattice_constants_loop``
+is the constants search as the c2-by-c2 loop the array search replaced, and
+``block_dist_from_atoms`` / ``block_dist_mean`` build and average hand-made
+block laws.
 """
 
 import math
@@ -26,8 +29,8 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
 from weakdep.coefficients import BudgetExceededError, _transition_powers, theta_exact
-from weakdep.coupling import (_clip_unit, _conditional_quantile, block_sum_dist,
-                              w2_conditional)
+from weakdep.coupling import (BlockDist, _clip_unit, _conditional_quantile,
+                              block_sum_dist, w2_conditional)
 from weakdep.processes import FiniteChain, _chain_states_from_uniforms, symmetrize
 from weakdep.rng import Domain, block_address, path_stream, substream, substreams
 
@@ -506,3 +509,60 @@ def block_coupling_second_moment(chain: FiniteChain, m: int, sigma2: float,
     return {"mc": e2, "se": se, "exact": exact,
             "z_score": (e2 - exact) / se if se > 0 else 0.0,
             "blocks": blocks, "m": m}
+
+
+def lattice_constants_loop(a, b, targets, box):
+    """The constants search as a loop over lattice c2: for each c2 the least
+    lattice c1 that covers every residual target, with an all-zero Gaussian
+    column pinning c1 at the box minimum."""
+    lo, hi = box
+    decades = math.log10(hi) - math.log10(lo)
+    candidates = np.geomspace(lo, hi, int(round(8 * decades)) + 1)
+
+    best = None
+    gaussian_active = bool(np.any(a > 0))
+    c1_options = candidates if gaussian_active else candidates[:1]
+    for c2 in candidates:
+        residual = targets - c2 * b
+        needs = residual > 0
+        if not np.any(needs):
+            c1_req = 0.0
+        elif not gaussian_active:
+            continue
+        else:
+            with np.errstate(divide="ignore"):
+                c1_req = float(np.max(residual[needs] / a[needs])) \
+                    if np.all(a[needs] > 0) else math.inf
+        if not math.isfinite(c1_req):
+            continue
+        idx = int(np.searchsorted(c1_options, c1_req * (1.0 - 1e-12)))
+        if idx >= len(c1_options):
+            continue
+        c1 = float(c1_options[idx])
+        c2f = float(c2)
+        key = (c1 * c2f, c2f, c1)
+        if best is None or key < best[0]:
+            best = (key, c1, c2f)
+    if best is None:
+        raise ValueError(
+            f"no finite constants found within search box {box}")
+    _, c1, c2 = best
+    return c1, c2
+
+
+def block_dist_from_atoms(values, probs, **kw) -> BlockDist:
+    """A BlockDist from unsorted atoms and their probabilities."""
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    order = np.argsort(values)
+    values, probs = values[order], probs[order]
+    if np.any(probs < 0):
+        raise ValueError("negative atom probability")
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError("atom probabilities must sum to 1 within 1e-12")
+    return BlockDist(values=values, probs=probs, cdf=np.cumsum(probs), **kw)
+
+
+def block_dist_mean(dist: BlockDist) -> float:
+    return float(dist.values @ dist.probs)

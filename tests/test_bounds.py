@@ -15,7 +15,7 @@ from weakdep.bounds import (TailSample, bound_terms, clopper_pearson,
 from weakdep.coefficients import SeriesSummary, ThetaTable, summarize_chain
 from weakdep.experiments import ExperimentConfig, run_degenerate_suite
 
-from _oracles import srw_max_tail_dp, srw_max_tail_reflection
+from _oracles import lattice_constants_loop, srw_max_tail_dp, srw_max_tail_reflection
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_fit_constants_holdout_transfer(flip_summary):
     assert not set(train) & set(hold)
     fit = fit_constants(chain, train, 5000, seed=13, summary=summ)
     ok, rows = validate_constants(chain, fit, hold, 5000, seed=14, summary=summ)
-    assert ok
+    assert ok is True
     assert len(rows) == len(hold)
 
 
@@ -219,7 +219,7 @@ def test_fit_constants_degenerate_uses_only_c2(flip_summary):
     cob = make_coboundary(chain, [1.0, -1.0])
     summ = summarize_chain(cob, horizon=16)
     grid = tail_grid([64, 128], 3, cob.sup_norm)
-    fit = fit_constants(cob, grid, 2000, seed=5, summary=summ, statistic="absmax")
+    fit = fit_constants(cob, grid, 2000, seed=5, summary=summ)
     assert fit.c1 == pytest.approx(1e-3)     # pinned at the box minimum
     assert math.isfinite(fit.c2)
 
@@ -250,7 +250,7 @@ def test_check_compares_rhs_with_the_upper_limit(flip_summary):
     ok, rows = validate_constants(chain, scaled, hold, 1000, seed=42, summary=summ)
     assert rows[i]["p_hat"] < rows[i]["rhs"] < rows[i]["ci_high"]
     assert rows[i]["dominates"] is False
-    assert not ok
+    assert ok is False
 
 
 def test_divergent_summary_refused(flip_summary):
@@ -271,12 +271,41 @@ def test_summary_without_sigma2_refused():
         params_from_summary(summ, 64, 20.0)
 
 
-def test_fit_constants_box_failure(flip_summary):
+def test_fit_constants_box_failure(monkeypatch, flip_summary):
     chain, summ = flip_summary
     grid = tail_grid([128], 2, chain.sup_norm)
+    monkeypatch.setattr(bounds, "SEARCH_BOX", (1e-9, 1e-8))
     with pytest.raises(ValueError, match="search box"):
-        fit_constants(chain, grid, 2000, seed=3, summary=summ,
-                      search_box=(1e-9, 1e-8))
+        fit_constants(chain, grid, 2000, seed=3, summary=summ)
+
+
+SEARCH_BOXES = [bounds.SEARCH_BOX, (1e-9, 1e-8), (1e-6, 1e-3), (10.0, 100.0), (0.5, 2.0)]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.booleans(),
+       st.sampled_from(SEARCH_BOXES))
+@settings(max_examples=300, deadline=None)
+def test_lattice_search_matches_loop(seed, m, gaussian_zero, box):
+    # The array search returns the loop's (c1, c2), or its refusal, bit for
+    # bit.  Each constraint alone needs c1 or c2 of order 10^u, with u drawn
+    # from a decade below the box to just above it, so sets are refused, fit
+    # with c1 on the box floor, or fit with c1 inside the box.
+    rng = np.random.default_rng(seed)
+    lo, hi = np.log10(box)
+    targets = 10.0 ** rng.uniform(-12.0, 3.0, m)
+    b = targets / 10.0 ** rng.uniform(lo - 1.0, hi + 0.2, m)
+    a = targets / 10.0 ** rng.uniform(lo - 1.0, hi + 0.2, m) * (rng.random(m) < 0.8)
+    if gaussian_zero:
+        a = np.zeros(m)
+
+    def outcome(search):
+        try:
+            return search(a, b, targets, box)
+        except ValueError as err:
+            assert "search box" in str(err)
+            return str(err)
+
+    assert outcome(bounds._lattice_constants) == outcome(lattice_constants_loop)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,25 @@ def test_benchmark_tracer_targets_exist():
     assert ("weakdep.coupling", "build_coupling") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_every_module_constant_is_read():
+    # A module-level UPPER_CASE name of the package that no file of src/,
+    # tests/, benchmarks/*.py or scripts/ names besides its own definition
+    # is a setting nothing reads.
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+               *(ROOT / "benchmarks").glob("*.py"), *(ROOT / "scripts").rglob("*.py")]
+    names = Counter(word for path in sources for word in re.findall(r"\w+", path.read_text()))
+    defined = Counter(name.id for path in (ROOT / "src" / "weakdep").glob("*.py")
+                      for node in ast.parse(path.read_text()).body
+                      if isinstance(node, (ast.Assign, ast.AnnAssign))
+                      for target in (node.targets if isinstance(node, ast.Assign)
+                                     else [node.target])
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and re.fullmatch(r"_*[A-Z][A-Z0-9_]*", name.id))
+    assert defined
+    unread = sorted(name for name, count in defined.items() if names[name] <= count)
+    assert not unread, f"module constants nothing reads: {unread}"
 
 
 @pytest.mark.parametrize("name, allowed", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from weakdep import (BlockDist, block_sum_dist, build_coupling, coupling_errors,
+from weakdep import (block_sum_dist, build_coupling, coupling_errors,
                      flip_chain, make_coboundary, make_schedule,
                      sigma2_exact, skorohod_split, w2_conditional)
 from weakdep.coupling import (VARIANTS, BudgetExceededError, _conditional_quantile,
@@ -16,8 +16,9 @@ from weakdep.coupling import (VARIANTS, BudgetExceededError, _conditional_quanti
 from weakdep.processes import sample_chain_paths
 from weakdep.rng import substream, substreams
 
-from _oracles import (block_coupling_second_moment, block_dist_brute,
-                      block_sum_dist_exact, couple_path_loop, random_lattice_chain)
+from _oracles import (block_coupling_second_moment, block_dist_brute, block_dist_from_atoms,
+                      block_dist_mean, block_sum_dist_exact, couple_path_loop,
+                      random_lattice_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +121,8 @@ def test_block_dist_mean_is_conditional_drift(flip25, three_state):
                 drift = sum((np.linalg.matrix_power(chain.transition, i)
                              @ chain.observable)[start]
                             for i in range(1, 2 ** m + 1))
-                assert dist.mean() == pytest.approx(float(drift), abs=1e-10)
-                mix += chain.stationary[start] * dist.mean()
+                assert block_dist_mean(dist) == pytest.approx(float(drift), abs=1e-10)
+                mix += chain.stationary[start] * block_dist_mean(dist)
             assert mix == pytest.approx(0.0, abs=1e-10)
 
 
@@ -141,8 +142,8 @@ def test_block_dist_budget_guard(flip25):
 # ---------------------------------------------------------------------------
 
 def two_point_dist():
-    return BlockDist.from_atoms([-1.0, 1.0], [0.5, 0.5],
-                                sums_int=np.array([-1, 1]))
+    return block_dist_from_atoms([-1.0, 1.0], [0.5, 0.5],
+                                 sums_int=np.array([-1, 1]))
 
 
 def test_quantile_two_point_worked_value():
@@ -156,8 +157,8 @@ def test_quantile_identity_on_matching_discretization():
     for m_atoms in (21, 81):
         qs = (np.arange(m_atoms) + 0.5) / m_atoms
         atoms = np.sort(gaussian_quantile(qs))
-        dist = BlockDist.from_atoms(atoms, np.full(m_atoms, 1.0 / m_atoms),
-                                    sums_int=np.arange(m_atoms))
+        dist = block_dist_from_atoms(atoms, np.full(m_atoms, 1.0 / m_atoms),
+                                     sums_int=np.arange(m_atoms))
         idx = np.arange(0, m_atoms, 5)
         v = _conditional_quantile(dist, idx, np.full(len(idx), 0.5))
         assert v == pytest.approx(atoms[idx], abs=1e-10)
@@ -166,8 +167,8 @@ def test_quantile_identity_on_matching_discretization():
 def test_quantile_between_atoms_is_left_limit():
     # F(u) = F(u-) off the atoms, whatever the randomizer: 1 lies between
     # the atoms 0 and 2, and 3 beyond the last atom.
-    dist = BlockDist.from_atoms([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25],
-                                sums_int=np.array([-2, 0, 2]))
+    dist = block_dist_from_atoms([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25],
+                                 sums_int=np.array([-2, 0, 2]))
     v = _conditional_quantile(dist, np.array([1, 1, 3]), np.array([0.1, 0.9, 0.5]))
     assert v[0] == v[1] == gaussian_quantile(0.75)
     assert v[2] == gaussian_quantile(1.0)
@@ -395,7 +396,7 @@ def test_coupling_determinism(flip25):
 # ---------------------------------------------------------------------------
 
 def test_w2_point_mass_is_second_moment():
-    dist = BlockDist.from_atoms([0.0], [1.0])
+    dist = block_dist_from_atoms([0.0], [1.0])
     assert w2_conditional(dist, 1.0) == pytest.approx(1.0, rel=1e-10)
     assert w2_conditional(dist, 4.0) == pytest.approx(4.0, rel=1e-10)
 
@@ -405,7 +406,7 @@ def test_w2_vanishes_under_refinement():
     for m_atoms in (20, 80, 320):
         qs = (np.arange(m_atoms) + 0.5) / m_atoms
         atoms = np.array([gaussian_quantile(float(q)) for q in qs])
-        dist = BlockDist.from_atoms(atoms, np.full(m_atoms, 1.0 / m_atoms))
+        dist = block_dist_from_atoms(atoms, np.full(m_atoms, 1.0 / m_atoms))
         val = w2_conditional(dist, 1.0)
         if prev is not None:
             assert val < prev
