@@ -9,8 +9,9 @@ the chosen directory as CSV / JSON / .dat files.
 Every command reads its config through :func:`_read_config`, which checks
 the keys against the command's table in ``CONFIG_DEFAULTS``, and its
 ``summary.json`` echoes the settings as run (:func:`_emit`).  A config or
-input that the reader or a pipeline refuses (a ValueError) ends the run with
-one line, ``Error: <message>``, and exit status 1 (:class:`_Main`).
+input that the reader or a pipeline refuses (a ValueError or a
+BudgetExceededError) ends the run with one line, ``Error: <message>``, and
+exit status 1 (:class:`_Main`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import click
 from . import bounds as bnd
 from . import coefficients as coef
 from . import coupling as cpl
-from .experiments import ExperimentConfig, donsker_wasserstein, run_degenerate_suite, \
-    run_lsv_experiment, run_rate_experiment
+from .experiments import REFERENCE_EXPONENT, ExperimentConfig, donsker_wasserstein, \
+    run_degenerate_suite, run_lsv_experiment, run_rate_experiment
 from .processes import FiniteChain, LsvProcess, process_from_config, process_to_config, \
     refuse_unknown_keys, sample_path
 from .reporting import emit_report, write_table_csv
@@ -59,27 +60,48 @@ CONFIG_DEFAULTS = {
 }
 
 
+# The JSON types a setting takes, by the type of its default: a required key
+# (n_list) takes a list, and "process" and "surrogate" take objects.
+_SETTING_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                  str: ((str,), "a string"), list: ((list,), "a list of integers"),
+                  dict: ((dict,), "an object")}
+
+
+def _check_type(key: str, value, default) -> None:
+    """Refuse a config value whose JSON type is not its default's (a bool is
+    not an integer)."""
+    kind = (dict if key in ("process", "surrogate")
+            else list if default is dataclasses.MISSING else type(default))
+    types, name = _SETTING_TYPES[kind]
+    if type(value) not in types or kind is list and any(type(n) is not int for n in value):
+        raise ValueError(f'config key "{key}" must be {name}, not {json.dumps(value)}')
+
+
 def _read_config(path: str, command: str, seed: int | None = None) -> dict:
     """The settings a command runs on: the one config reader.
 
     Loads the JSON file, builds its process documents with
     process_from_config, refuses keys outside the command's table in
-    CONFIG_DEFAULTS and fills in the table's defaults; `seed` (the --seed
-    option), when given, replaces the config seed.
+    CONFIG_DEFAULTS and values whose JSON type is not their default's
+    (:func:`_check_type`), and fills in the table's defaults; `seed` (the
+    --seed option), when given, replaces the config seed.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if "process" not in doc:
         raise ValueError('config needs a "process" key')
+    _check_type("process", doc["process"], None)
     process = process_from_config(doc["process"])
     if command == "rates" and isinstance(process, LsvProcess):
         command = "rates-lsv"
     defaults = CONFIG_DEFAULTS[command]
     refuse_unknown_keys(doc, ("process", *defaults))
-    settings = {**defaults, **doc, "process": process}
-    for key, value in settings.items():
-        if value is dataclasses.MISSING:
+    for key, default in defaults.items():
+        if key in doc:
+            _check_type(key, doc[key], default)
+        elif default is dataclasses.MISSING:
             raise ValueError(f'config needs an "{key}" key')
+    settings = {**defaults, **doc, "process": process}
     if settings.get("surrogate") is not None:
         settings["surrogate"] = process_from_config(settings["surrogate"])
     if seed is not None:
@@ -118,13 +140,14 @@ def with_common(fn):
 
 
 class _Main(click.Group):
-    """The top-level group: a refused config or pipeline input (ValueError)
-    ends in one line, ``Error: <message>``, and exit status 1."""
+    """The top-level group: a refused config or pipeline input (ValueError or
+    BudgetExceededError) ends in one line, ``Error: <message>``, and exit
+    status 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, coef.BudgetExceededError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -166,8 +189,8 @@ def _bound_setup(settings, holdout: bool):
     """(process, chain summary, tail grid) of a bound config's settings."""
     process = settings["process"]
     _require_chain(process, "bound check" if holdout else "bound fit")
-    summary = coef.summarize_chain(process, horizon=int(settings["theta_horizon"]))
-    grid = bnd.tail_grid(settings["grid_n"], int(settings["points_per_n"]),
+    summary = coef.summarize_chain(process, horizon=settings["theta_horizon"])
+    grid = bnd.tail_grid(settings["grid_n"], settings["points_per_n"],
                          process.sup_norm, holdout=holdout)
     return process, summary, grid
 
@@ -178,8 +201,8 @@ def bound_fit(config_path, seed, out_dir):
     """Fit the two bound constants on the training grid."""
     settings = _read_config(config_path, "bound", seed)
     process, summary, grid = _bound_setup(settings, holdout=False)
-    fit = bnd.fit_constants(process, grid, int(settings["replicates"]),
-                            int(settings["seed"]), summary=summary)
+    fit = bnd.fit_constants(process, grid, settings["replicates"], settings["seed"],
+                            summary=summary)
     _emit(out_dir, settings,
           {"c1": fit.c1, "c2": fit.c2, "sigma2": summary.sigma2,
            "binding": fit.binding, "search_box": list(bnd.SEARCH_BOX)},
@@ -196,10 +219,10 @@ def bound_check(config_path, seed, out_dir, c1, c2):
     it runs on rng.holdout_seed of the config seed, never the training paths."""
     settings = _read_config(config_path, "bound", seed)
     process, summary, grid = _bound_setup(settings, holdout=True)
-    run_seed = holdout_seed(int(settings["seed"])) if seed is None else seed
+    run_seed = holdout_seed(settings["seed"]) if seed is None else seed
     fit = bnd.ConstantsFit(c1=c1, c2=c2)
-    ok, rows = bnd.validate_constants(process, fit, grid, int(settings["replicates"]),
-                                      run_seed, summary=summary)
+    ok, rows = bnd.validate_constants(process, fit, grid, settings["replicates"], run_seed,
+                                      summary=summary)
     _emit(out_dir, settings, {"dominates_holdout": ok}, {"holdout_grid": rows},
           seed=run_seed, c1=c1, c2=c2)
     click.echo(f"dominates_holdout={ok}")
@@ -216,16 +239,15 @@ def couple_run(config_path, seed, out_dir):
     """Build one coupled path and emit per-level statistics plus the path CSV."""
     settings = _read_config(config_path, "couple", seed)
     process = settings["process"]
-    n = int(settings["n"])
+    n = settings["n"]
     if not cpl.is_dyadic(n):
         raise click.ClickException("n must be a power of two, >= 8")
     _require_chain(process, "couple run")
-    c_fit = float(settings["c_fit"])
-    schedule = cpl.make_schedule(cpl.top_level(n), float(settings["p"]),
-                                 settings["variant"],
-                                 epsilon=float(settings["epsilon"]), c_fit=c_fit)
+    c_fit = settings["c_fit"]
+    schedule = cpl.make_schedule(cpl.top_level(n), settings["p"], settings["variant"],
+                                 epsilon=settings["epsilon"], c_fit=c_fit)
     sigma2 = coef.sigma2_exact(process)
-    path = cpl.build_coupling(process, schedule, sigma2, n, int(settings["seed"]))
+    path = cpl.build_coupling(process, schedule, sigma2, n, settings["seed"])
     errs = cpl.coupling_errors(path)
     os.makedirs(out_dir, exist_ok=True)
     rows = [{"k": k, "s": float(path.s[k]), "t": float(path.t[k])}
@@ -271,10 +293,9 @@ def rates(config_path, seed, out_dir):
 def wasserstein(config_path, seed, out_dir):
     """Quadratic-cost decay of the rescaled partial-sum line."""
     settings = _read_config(config_path, "wasserstein", seed)
-    report = donsker_wasserstein(ExperimentConfig(**settings))
-    estimate = report.estimate
+    estimate = donsker_wasserstein(ExperimentConfig(**settings))
     _emit(out_dir, settings,
-          {**estimate.to_dict(), "reference_exponent": report.reference_exponent},
+          {**estimate.to_dict(), "reference_exponent": REFERENCE_EXPONENT},
           {"rates": list(estimate.rows)})
     click.echo(f"exponent={estimate.exponent!r} passed={estimate.passed}")
 
@@ -301,7 +322,7 @@ def degenerate(config_path, seed, out_dir):
 def export_path(config_path, seed, out_dir, n):
     """Sample one path of a configured process and export it as CSV."""
     settings = _read_config(config_path, "export-path", seed)
-    path = sample_path(settings["process"], n, int(settings["seed"]))
+    path = sample_path(settings["process"], n, settings["seed"])
     os.makedirs(out_dir, exist_ok=True)
     rows = [{"index": k, "value": float(path.values[k - 1]),
              "partial_sum": float(path.partial_sums[k])} for k in range(1, n + 1)]

@@ -8,7 +8,9 @@ over enumerated exponent vectors and index tuples.
 
 The index-tuple sup is truncated at ``tuple_horizon`` (``TUPLE_HORIZON`` by
 default); the truncation error is geometrically small for chains with a
-spectral gap and can be bounded via :func:`theta_truncation_bound`.
+spectral gap and can be bounded via :func:`theta_truncation_bound`.  It is
+refused above ``TUPLE_BUDGET`` (exponent vector, index tuple) pairs, counted
+in closed form (:func:`_count_tuples`), so a refusal builds no tuple.
 
 All exact theta values come from one pattern table, ``_theta_lags``: the
 vector of each gap pattern k_i - k_1 (with its exponents) is built once and
@@ -50,32 +52,24 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _positive_exponent_vectors(r: int, q: int) -> list[tuple[int, ...]]:
-    """All (b_1..b_r) with b_i >= 1 and sum <= q."""
-    out: list[tuple[int, ...]] = []
+    """All (b_1..b_r) with b_i >= 1 and sum <= q, in lexicographic order: the
+    gaps of the partial sums 0 < c_1 < ... < c_r <= q (stars and bars)."""
+    return [tuple(b - a for a, b in zip((0, *c), c))
+            for c in combinations(range(1, q + 1), r)]
 
-    def rec(prefix, remaining):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        slots_left = r - len(prefix) - 1
-        for b in range(1, remaining - slots_left + 1):
-            rec(prefix + [b], remaining - b)
-
-    if r <= q:
-        rec([], q)
-    return out
 
 def _count_tuples(p: int, q: int, horizon: int) -> int:
-    total = 0
-    for r in range(1, p + 1):
-        total += len(_positive_exponent_vectors(r, q)) * math.comb(horizon + 1, r)
-    return total
+    """(exponent vector, index tuple) pairs of theta_{p,q}: sum over lengths r
+    of C(q, r) vectors (stars and bars) times C(horizon + 1, r) index sets."""
+    return sum(math.comb(q, r) * math.comb(horizon + 1, r) for r in range(1, p + 1))
 
 
-def _transition_powers(chain: FiniteChain, up_to: int) -> list[np.ndarray]:
-    powers = [np.eye(chain.n_states)]
-    for _ in range(up_to):
-        powers.append(powers[-1] @ chain.transition)
+def _transition_powers(chain: FiniteChain, up_to: int) -> np.ndarray:
+    """P^0..P^up_to as one (up_to + 1, S, S) array."""
+    powers = np.empty((up_to + 1, chain.n_states, chain.n_states))
+    powers[0] = np.eye(chain.n_states)
+    for k in range(up_to):
+        powers[k + 1] = powers[k] @ chain.transition
     return powers
 
 
@@ -96,18 +90,15 @@ def _theta_lags(chain: FiniteChain, p: int, q: int, k_lo: int, k_hi: int,
     f = chain.observable
     pi = chain.stationary
     powers = _transition_powers(chain, k_hi + tuple_horizon)
-    stacked = np.stack(powers)
     f_pows = [None] + [f ** a for a in range(1, q + 1)]
 
     best = np.zeros(k_hi - k_lo + 1)
-    for r in range(1, p + 1):
+    for r in range(1, min(p, q) + 1):
         exps = _positive_exponent_vectors(r, q)
-        if not exps:
-            continue
         for rest in combinations(range(1, tuple_horizon + 1), r - 1):
             offsets = (0, *rest)
             width = tuple_horizon - offsets[-1] + 1
-            starts = stacked[k_lo:k_hi + width]
+            starts = powers[k_lo:k_hi + width]
             for b in exps:
                 h = f_pows[b[r - 1]]
                 for i in range(r - 1, 0, -1):
@@ -318,34 +309,28 @@ def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSumm
     k_horizon = table.horizon
     rho = table.rate
     anchor = float(v[-1])
+    # theta(K + j) = anchor * rho^j; all sums are taken in the shifted index j
+    # so no rho^{-K} blowup can occur.  Without a tail (anchor 0 or rho 0)
+    # every sum is an exact 0: 0 * finite = 0 and 0.0**a = 0 for a >= 1.
+    kf = float(k_horizon)
 
-    if anchor == 0.0 or rho == 0.0:
-        tail1 = tail2 = 0.0
+    def shift1(a: int) -> float:        # sum_{j>=a} (K + j) rho^j
+        return kf * _geo0(rho, a) + _geo1(rho, a)
 
-        def tail_weighted(x: float) -> float:
-            return 0.0
-    else:
-        # theta(K + j) = anchor * rho^j; all sums are taken in the shifted
-        # index j so no rho^{-K} blowup can occur.
-        kf = float(k_horizon)
+    def shift2(a: int) -> float:        # sum_{j>=a} (K + j)^2 rho^j
+        return kf * kf * _geo0(rho, a) + 2.0 * kf * _geo1(rho, a) + _geo2(rho, a)
 
-        def shift1(a: int) -> float:        # sum_{j>=a} (K + j) rho^j
-            return kf * _geo0(rho, a) + _geo1(rho, a)
+    tail1 = anchor * _geo0(rho, 1)
+    tail2 = anchor * shift1(1)
 
-        def shift2(a: int) -> float:        # sum_{j>=a} (K + j)^2 rho^j
-            return kf * kf * _geo0(rho, a) + 2.0 * kf * _geo1(rho, a) + _geo2(rho, a)
-
-        tail1 = anchor * _geo0(rho, 1)
-        tail2 = anchor * shift1(1)
-
-        def tail_weighted(x: float) -> float:
-            m = math.floor(x)
-            if m <= k_horizon:
-                return x * tail2
-            j_m = m - k_horizon
-            sq = anchor * (shift2(1) - shift2(j_m + 1))
-            lin = x * anchor * shift1(j_m + 1)
-            return sq + lin
+    def tail_weighted(x: float) -> float:
+        m = math.floor(x)
+        if m <= k_horizon:
+            return x * tail2
+        j_m = m - k_horizon
+        sq = anchor * (shift2(1) - shift2(j_m + 1))
+        lin = x * anchor * shift1(j_m + 1)
+        return sq + lin
 
     def weighted(x: float) -> float:
         if x < 0:

@@ -229,8 +229,9 @@ def skorohod_split(v: np.ndarray, normals: np.ndarray, sigma2: float) -> np.ndar
     one row per block, from standard normal rows `normals` (blocks, 2^m).
 
     Increments are v / 2^m plus centered Gaussian residuals (the conditional
-    law of i.i.d. Gaussians given their sum); the final increment absorbs the
-    float summation residual so the increments add back to v.
+    law of i.i.d. Gaussians given their sum), so they add back to v up to
+    rounding; :func:`_couple_path` sets each block's last running sum to the
+    block total, which makes the block boundary exact.
     """
     if normals.ndim != 2 or normals.shape[1] < 2:
         raise ValueError("need rows of 2^m normals with m >= 1")
@@ -238,8 +239,6 @@ def skorohod_split(v: np.ndarray, normals: np.ndarray, sigma2: float) -> np.ndar
         raise ValueError("sigma2 must be positive")
     g = math.sqrt(sigma2) * normals
     inc = (v / normals.shape[1])[:, None] + (g - g.mean(axis=1)[:, None])
-    for _ in range(2):
-        inc[:, -1] += v - inc.sum(axis=1)
     return np.cumsum(inc, axis=1)
 
 

@@ -23,6 +23,9 @@ from .coefficients import is_degenerate, sigma2_exact
 from .coupling import coupling_errors, is_dyadic, make_schedule, top_level, _couple_path
 from .processes import FiniteChain, LsvProcess, lsv_running_stats, sample_chain_paths
 
+# Exponent of the reference line that `wasserstein` reports next to its rate.
+REFERENCE_EXPONENT = -1.0 / 6.0
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -71,25 +74,28 @@ class RateEstimate:
                 "passed": self.passed, "degenerate": self.degenerate}
 
 
-def fit_power_law(ns, values):
+def fit_power_law(ns, values, y_vars=None):
     """OLS fit of log2(values) on log2(n).
 
-    Returns (slope, slope_se).  Noiseless power law input recovers the
-    exponent to float precision.
+    Returns (slope, slope_se).  The standard error is the residual one or,
+    given the Monte Carlo variances ``y_vars`` of the log2 values, those
+    variances propagated through the least-squares weights (replicate noise
+    only; the systematic log-factor curvature is folded into the tolerance).
+    Noiseless power law input recovers the exponent to float precision.
     """
     ns = np.asarray(ns, dtype=float)
     y = np.log2(np.asarray(values, dtype=float))
     design = np.column_stack([np.ones_like(ns), np.log2(ns)])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
+    if y_vars is not None:
+        weights = np.linalg.inv(design.T @ design) @ design.T
+        return float(beta[1]), math.sqrt(float(weights[1] ** 2 @ np.asarray(y_vars)))
     dof = len(ns) - design.shape[1]
-    if dof > 0:
-        s2 = float(resid @ resid) / dof
-        cov = s2 * np.linalg.inv(design.T @ design)
-        se = math.sqrt(max(cov[1, 1], 0.0))
-    else:
-        se = math.inf
-    return float(beta[1]), se
+    if dof <= 0:
+        return float(beta[1]), math.inf
+    resid = y - design @ beta
+    cov = float(resid @ resid) / dof * np.linalg.inv(design.T @ design)
+    return float(beta[1]), math.sqrt(max(cov[1, 1], 0.0))
 
 
 def _require_replicates(config: ExperimentConfig) -> None:
@@ -140,15 +146,7 @@ def _rate_estimate(ns, rms, target, tolerance, y_vars=None) -> RateEstimate:
         return RateEstimate(exponent=0.0, exponent_se=math.inf, target=target,
                             tolerance=tolerance, passed=None, degenerate=True,
                             rows=rows)
-    slope, se = fit_power_law(ns, rms)
-    if y_vars is not None:
-        # Monte Carlo error of the slope: propagate per-point log variances
-        # through the least-squares weights (replicate noise only; the
-        # systematic log-factor curvature is folded into the tolerance).
-        design = np.column_stack([np.ones(len(ns)),
-                                  np.log2(np.asarray(ns, dtype=float))])
-        weights = np.linalg.inv(design.T @ design) @ design.T
-        se = math.sqrt(float(weights[1] ** 2 @ np.asarray(y_vars)))
+    slope, se = fit_power_law(ns, rms, y_vars)
     passed = abs(slope - target) <= tolerance
     return RateEstimate(exponent=slope, exponent_se=se, target=target,
                         tolerance=tolerance, passed=passed, rows=rows)
@@ -236,26 +234,20 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
                      surrogate=surrogate_estimate)
 
 
-@dataclass(frozen=True)
-class WassersteinReport:
-    estimate: RateEstimate
-    reference_exponent: float = -1.0 / 6.0
-
-
-def donsker_wasserstein(config: ExperimentConfig) -> WassersteinReport:
+def donsker_wasserstein(config: ExperimentConfig) -> RateEstimate:
     """Decay of the quadratic-cost upper bound ||sup_t |B_n - sigma B|||_2.
 
-    Target exponent -1/4; a reference n^{-1/6} line (the Skorohod-embedding
-    rate at fourth moments, reported for visual comparison only) is anchored
-    at the smallest n.
+    Target exponent -1/4.  Each row also carries ``reference_n16``, a
+    reference n^REFERENCE_EXPONENT line (the Skorohod-embedding rate n^{-1/6}
+    at fourth moments, for visual comparison only) anchored at the smallest n.
     """
     _require_coupled(config.process, config)
     estimate = _coupled_rate(config.process, config, -0.25, rescale=True)
     first = estimate.rows[0]
-    anchor_c = first["error_l2"] / first["n"] ** (-1.0 / 6.0)
-    rows = tuple({**row, "reference_n16": anchor_c * row["n"] ** (-1.0 / 6.0)}
+    anchor_c = first["error_l2"] / first["n"] ** REFERENCE_EXPONENT
+    rows = tuple({**row, "reference_n16": anchor_c * row["n"] ** REFERENCE_EXPONENT}
                  for row in estimate.rows)
-    return WassersteinReport(estimate=replace(estimate, rows=rows))
+    return replace(estimate, rows=rows)
 
 
 @dataclass(frozen=True)

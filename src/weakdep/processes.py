@@ -267,10 +267,6 @@ class LsvObservable:
             return x - self.center
         return (x >= self.threshold).astype(float) - self.center
 
-    @property
-    def sup_norm(self) -> float:
-        return max(abs(self.center), abs(1.0 - self.center))
-
 
 @dataclass(frozen=True)
 class LsvProcess:
@@ -289,10 +285,6 @@ class LsvProcess:
             raise ValueError("gamma must lie strictly inside (0, 1)")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
-
-    @property
-    def sup_norm(self) -> float:
-        return self.observable.sup_norm
 
 
 def lsv_reference_mean(gamma: float, total_iterations: int = 10**7,

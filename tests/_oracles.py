@@ -15,9 +15,10 @@ are ``symmetrization_check`` (theta of the symmetrized pair process against
 its comparison bound) and ``block_coupling_second_moment`` (Monte Carlo
 E(U - V)^2 of one coupled block against its exact quadrature);
 ``block_stream`` addresses one BLOCK substream.  ``lattice_constants_loop``
-is the constants search as the c2-by-c2 loop the array search replaced, and
-``block_dist_from_atoms`` / ``block_dist_mean`` build and average hand-made
-block laws.
+is the constants search as the c2-by-c2 loop the array search replaced,
+``positive_exponent_vectors_recursive`` the exponent-vector recursion that
+the stars-and-bars enumeration replaced, and ``block_dist_from_atoms`` /
+``block_dist_mean`` build and average hand-made block laws.
 """
 
 import math
@@ -42,6 +43,23 @@ def _positive_vectors(r, q):
     for first in range(1, q - r + 2):
         for rest in _positive_vectors(r - 1, q - first):
             out.append((first,) + rest)
+    return out
+
+
+def positive_exponent_vectors_recursive(r: int, q: int) -> list[tuple[int, ...]]:
+    """All (b_1..b_r) with b_i >= 1 and sum <= q."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == r:
+            out.append(tuple(prefix))
+            return
+        slots_left = r - len(prefix) - 1
+        for b in range(1, remaining - slots_left + 1):
+            rec(prefix + [b], remaining - b)
+
+    if r <= q:
+        rec([], q)
     return out
 
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -13,11 +14,12 @@ import pytest
 from click.testing import CliRunner
 
 import weakdep
-from weakdep import coefficients, flip_chain, make_coboundary
+from weakdep import coefficients, coupling, flip_chain, make_coboundary
 from weakdep.bounds import MIN_TAIL_REPLICATES
 from weakdep.cli import CONFIG_DEFAULTS, _read_config, main
 from weakdep.coefficients import certified_theta_table
-from weakdep.processes import process_from_config, process_to_config, sample_path
+from weakdep.processes import (LsvProcess, process_from_config, process_to_config,
+                               sample_path)
 from weakdep.rng import holdout_seed
 
 ROOT = Path(__file__).parent.parent
@@ -179,6 +181,26 @@ def test_config_refusal_is_one_line_on_stderr(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_number_settings_take_integers(tmp_path):
+    cfg = write_config(tmp_path, {"process": FLIP, "n_list": [256, 512], "p": 4,
+                                  "epsilon": 1, "tolerance": 0})
+    settings = _read_config(cfg, "rates")
+    assert (settings["p"], settings["epsilon"], settings["tolerance"]) == (4, 1, 0)
+
+
+def test_coeffs_refuses_a_huge_budget_at_once(tmp_path):
+    # The tuple count is closed-form, so p = q = 40 is refused before any of
+    # its ~10^12 exponent vectors is built.
+    cfg = write_config(tmp_path, {"process": FLIP})
+    out = subprocess.run([sys.executable, "-m", "weakdep", "coeffs", "--config", cfg,
+                          "--out", str(tmp_path / "out"), "--p", "40", "--q", "40"],
+                         env=package_env(), capture_output=True, text=True, timeout=5)
+    assert out.returncode == 1
+    assert (out.stdout, out.stderr) == (
+        "", "Error: tuple budget exceeded; reduce tuple_horizon or p, q\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, doc, message", [
     (["bound", "fit"], {"process": LSV, "grid_n": [32], "points_per_n": 1},
      "bound fit requires a finite_chain process"),
@@ -190,8 +212,37 @@ def test_config_refusal_is_one_line_on_stderr(tmp_path):
      "degenerate process: use the degenerate pipeline"),
     (["couple", "run"], {"process": FLIP, "n": 3000}, "n must be a power of two, >= 8"),
     (["couple", "run"], {"process": FLIP, "n": 4}, "n must be a power of two, >= 8"),
+    (["bound", "fit"], {"process": FLIP, "grid_n": [64], "replicates": 400.7},
+     'config key "replicates" must be an integer, not 400.7'),
+    (["bound", "fit"], {"process": FLIP, "grid_n": [64.5]},
+     'config key "grid_n" must be a list of integers, not [64.5]'),
+    (["rates"], {"process": FLIP, "n_list": [256, 512], "replicates": 16.0},
+     'config key "replicates" must be an integer, not 16.0'),
+    (["rates"], {"process": FLIP, "n_list": [256, 512], "seed": "3"},
+     'config key "seed" must be an integer, not "3"'),
+    (["rates"], {"process": FLIP, "n_list": [256, 512], "seed": True},
+     'config key "seed" must be an integer, not true'),
+    (["rates"], {"process": FLIP, "n_list": [256.0, 512]},
+     'config key "n_list" must be a list of integers, not [256.0, 512]'),
+    (["rates"], {"process": FLIP, "n_list": 256},
+     'config key "n_list" must be a list of integers, not 256'),
+    (["rates"], {"process": FLIP, "n_list": [256, 512], "tolerance": "0.1"},
+     'config key "tolerance" must be a number, not "0.1"'),
+    (["couple", "run"], {"process": FLIP, "n": 256, "p": True},
+     'config key "p" must be a number, not true'),
+    (["couple", "run"], {"process": FLIP, "n": 256, "variant": 1},
+     'config key "variant" must be a string, not 1'),
+    (["rates"], {"process": LSV, "n_list": [256, 512], "surrogate": "flip"},
+     'config key "surrogate" must be an object, not "flip"'),
+    (["export-path"], {"process": "flip"}, 'config key "process" must be an object, not "flip"'),
+    (["coeffs", "--p", "13", "--q", "13"], {"process": FLIP},
+     "tuple budget exceeded; reduce tuple_horizon or p, q"),
 ], ids=["bound-fit-lsv", "bound-check-lsv", "couple-run-lsv", "couple-run-degenerate",
-        "couple-run-n-3000", "couple-run-n-4"])
+        "couple-run-n-3000", "couple-run-n-4", "bound-fit-replicates-float",
+        "bound-fit-grid-n-float", "rates-replicates-float", "rates-seed-string",
+        "rates-seed-bool", "rates-n-list-float", "rates-n-list-int", "rates-tolerance-string",
+        "couple-run-p-bool", "couple-run-variant-int", "rates-lsv-surrogate-string",
+        "export-path-process-string", "coeffs-tuple-budget"])
 def test_command_refuses_process(tmp_path, command, doc, message):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
@@ -297,6 +348,27 @@ def test_benchmark_tracer_targets_exist():
     assert ("weakdep.coupling", "build_coupling") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    # worker.py reads the block-law cache counters.
+    assert callable(coupling._block_tensor.cache_info)
+    # Each _observe_<module>_<function> hook reads the traced call's
+    # arguments by name, through its bound signature.
+    traced = {f"_observe_{module}_{fn}":
+              getattr(importlib.import_module(f"weakdep.{module}"), fn)
+              for module, fn, _ in tracing["TRACED"]}
+    hooks = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_observe_")]
+    assert hooks
+    for hook in hooks:
+        read = {node.slice.value for node in ast.walk(hook)
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "args" and isinstance(node.slice, ast.Constant)}
+        assert hook.name in traced, hook.name
+        assert read <= set(inspect.signature(traced[hook.name]).parameters), hook.name
+    # Result fields the hooks and the workloads' checks read.
+    for cls, names in [(coupling.CoupledPath, {"x", "z", "u_by_level"}),
+                       (coupling.BlockDist, {"sums_int", "probs", "end_state_probs"}),
+                       (LsvProcess, {"burn_in"})]:
+        assert names <= {field.name for field in dataclasses.fields(cls)}, cls.__name__
 
 
 def test_every_module_constant_is_read():

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from weakdep import (ThetaTable, build_finite_chain,
                      degenerate_moment_bound, flip_chain, make_coboundary,
                      series_summary, sigma2_exact, symmetrize, theta_exact)
-from weakdep.coefficients import (BudgetExceededError, certified_contraction, certify,
+from weakdep.coefficients import (BudgetExceededError, _count_tuples,
+                                  _positive_exponent_vectors, certified_contraction, certify,
                                   theta_table_from_chain, theta_truncation_bound)
 from weakdep.processes import process_to_config
 
 from _oracles import (alpha_brute_two_state, alpha_inf4_exact,
                       covariance_series_partial, normalize_process,
-                      partial_sum_variance, random_lattice_chain,
+                      partial_sum_variance, positive_exponent_vectors_recursive,
+                      random_lattice_chain,
                       sigma2_extrapolated, symmetrization_check, theta_brute,
                       theta_exact_loop)
 
@@ -80,6 +82,22 @@ def test_theta_budget_guard(flip25):
 def test_theta_table_budget_guard(flip25):
     with pytest.raises(BudgetExceededError, match="tuple budget"):
         theta_table_from_chain(flip25, 4, 4, 2, 0.0, tuple_horizon=400)
+
+
+def test_exponent_vectors_match_recursion():
+    for r in range(9):
+        for q in range(11):
+            assert (_positive_exponent_vectors(r, q)
+                    == positive_exponent_vectors_recursive(r, q)), (r, q)
+
+
+def test_tuple_count_matches_enumeration():
+    for p in range(1, 9):
+        for q in range(1, 9):
+            for horizon in range(15):
+                built = sum(len(positive_exponent_vectors_recursive(r, q))
+                            * math.comb(horizon + 1, r) for r in range(1, p + 1))
+                assert _count_tuples(p, q, horizon) == built, (p, q, horizon)
 
 
 # (states, symmetrized): S <= 9 after symmetrization

@@ -219,12 +219,14 @@ def test_donsker_rescaling_identity(flip25):
 
 def test_donsker_reference_line(flip25):
     cfg = small_config(flip25)
-    report = donsker_wasserstein(cfg)
-    est = report.estimate
-    assert report.reference_exponent == pytest.approx(-1.0 / 6.0)
+    est = donsker_wasserstein(cfg)
+    assert experiments.REFERENCE_EXPONENT == pytest.approx(-1.0 / 6.0)
     assert est.target == -0.25
     first = est.rows[0]
     assert first["reference_n16"] == pytest.approx(first["error_l2"], rel=1e-12)
+    last = est.rows[-1]
+    assert last["reference_n16"] == pytest.approx(
+        first["error_l2"] * (last["n"] / first["n"]) ** (-1.0 / 6.0), rel=1e-12)
 
 
 def test_degenerate_suite_passes(flip25):
