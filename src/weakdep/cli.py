@@ -27,8 +27,8 @@ from . import coefficients as coef
 from . import coupling as cpl
 from .experiments import REFERENCE_EXPONENT, ExperimentConfig, donsker_wasserstein, \
     run_degenerate_suite, run_lsv_experiment, run_rate_experiment
-from .processes import FiniteChain, LsvProcess, process_from_config, process_to_config, \
-    refuse_unknown_keys, sample_path
+from .processes import FiniteChain, LsvProcess, check_type, process_from_config, \
+    process_to_config, refuse_unknown_keys, sample_path
 from .reporting import emit_report, write_table_csv
 from .rng import holdout_seed
 
@@ -60,37 +60,21 @@ CONFIG_DEFAULTS = {
 }
 
 
-# The JSON types a setting takes, by the type of its default: a required key
-# (n_list) takes a list, and "process" and "surrogate" take objects.
-_SETTING_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                  str: ((str,), "a string"), list: ((list,), "a list of integers"),
-                  dict: ((dict,), "an object")}
-
-
-def _check_type(key: str, value, default) -> None:
-    """Refuse a config value whose JSON type is not its default's (a bool is
-    not an integer)."""
-    kind = (dict if key in ("process", "surrogate")
-            else list if default is dataclasses.MISSING else type(default))
-    types, name = _SETTING_TYPES[kind]
-    if type(value) not in types or kind is list and any(type(n) is not int for n in value):
-        raise ValueError(f'config key "{key}" must be {name}, not {json.dumps(value)}')
-
-
 def _read_config(path: str, command: str, seed: int | None = None) -> dict:
     """The settings a command runs on: the one config reader.
 
     Loads the JSON file, builds its process documents with
     process_from_config, refuses keys outside the command's table in
     CONFIG_DEFAULTS and values whose JSON type is not their default's
-    (:func:`_check_type`), and fills in the table's defaults; `seed` (the
-    --seed option), when given, replaces the config seed.
+    (:func:`processes.check_type`, which checks process documents too), and
+    fills in the table's defaults; `seed` (the --seed option), when given,
+    replaces the config seed.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if "process" not in doc:
         raise ValueError('config needs a "process" key')
-    _check_type("process", doc["process"], None)
+    check_type("process", doc["process"], None)
     process = process_from_config(doc["process"])
     if command == "rates" and isinstance(process, LsvProcess):
         command = "rates-lsv"
@@ -98,7 +82,7 @@ def _read_config(path: str, command: str, seed: int | None = None) -> dict:
     refuse_unknown_keys(doc, ("process", *defaults))
     for key, default in defaults.items():
         if key in doc:
-            _check_type(key, doc[key], default)
+            check_type(key, doc[key], default)
         elif default is dataclasses.MISSING:
             raise ValueError(f'config needs an "{key}" key')
     settings = {**defaults, **doc, "process": process}
@@ -114,9 +98,9 @@ def _require_chain(process, command: str) -> None:
     cannot run on: anything but a finite chain, and for `couple run` a chain
     whose certified sigma2 interval reaches 0 (the check `rates` makes)."""
     if not isinstance(process, FiniteChain):
-        raise click.ClickException(f"{command} requires a finite_chain process")
+        raise ValueError(f"{command} requires a finite_chain process")
     if command == "couple run" and coef.is_degenerate(process):
-        raise click.ClickException("degenerate process: use the degenerate pipeline")
+        raise ValueError("degenerate process: use the degenerate pipeline")
 
 
 def _emit(out_dir: str, settings: dict, summary: dict, tables: dict, **options) -> None:
@@ -241,7 +225,7 @@ def couple_run(config_path, seed, out_dir):
     process = settings["process"]
     n = settings["n"]
     if not cpl.is_dyadic(n):
-        raise click.ClickException("n must be a power of two, >= 8")
+        raise ValueError("n must be a power of two, >= 8")
     _require_chain(process, "couple run")
     c_fit = settings["c_fit"]
     schedule = cpl.make_schedule(cpl.top_level(n), settings["p"], settings["variant"],

@@ -14,10 +14,10 @@ in closed form (:func:`_count_tuples`), so a refusal builds no tuple.
 
 All exact theta values come from one pattern table, ``_theta_lags``: the
 vector of each gap pattern k_i - k_1 (with its exponents) is built once and
-moved to every start k_1 by stacked powers of P, and theta(k) is a
-sliding-window max over starts (see :func:`theta_exact`).  A table
-theta(0..K) is thus one pass over the patterns, not K + 1 enumerations of
-every tuple.
+moved to every lag by stacked powers of P, and theta(k) needs only the start
+k_1 = k of each pattern, as P contracts in L1(pi) (see :func:`theta_exact`).
+A table theta(0..K) is thus one pass over the patterns, not K + 1
+enumerations of every tuple.
 
 Each chain has one certificate (:func:`certify`, cached per chain): the
 contraction (r, delta) and the covariance series sigma2 with a certified
@@ -34,7 +34,6 @@ from itertools import combinations
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .processes import FiniteChain
 
@@ -89,7 +88,8 @@ def _theta_lags(chain: FiniteChain, p: int, q: int, k_lo: int, k_hi: int,
 
     f = chain.observable
     pi = chain.stationary
-    powers = _transition_powers(chain, k_hi + tuple_horizon)
+    powers = _transition_powers(chain, max(k_hi, tuple_horizon))
+    starts = powers[k_lo:k_hi + 1]
     f_pows = [None] + [f ** a for a in range(1, q + 1)]
 
     best = np.zeros(k_hi - k_lo + 1)
@@ -97,8 +97,6 @@ def _theta_lags(chain: FiniteChain, p: int, q: int, k_lo: int, k_hi: int,
         exps = _positive_exponent_vectors(r, q)
         for rest in combinations(range(1, tuple_horizon + 1), r - 1):
             offsets = (0, *rest)
-            width = tuple_horizon - offsets[-1] + 1
-            starts = powers[k_lo:k_hi + width]
             for b in exps:
                 h = f_pows[b[r - 1]]
                 for i in range(r - 1, 0, -1):
@@ -106,9 +104,7 @@ def _theta_lags(chain: FiniteChain, p: int, q: int, k_lo: int, k_hi: int,
                     h = f_pows[b[i - 1]] * (powers[gap] @ h)
                 big_h = starts @ h
                 mu = np.vecdot(big_h, pi)
-                vals = np.vecdot(np.abs(big_h - mu[:, None]), pi)
-                np.maximum(best, sliding_window_view(vals, width).max(axis=1),
-                           out=best)
+                np.maximum(best, np.vecdot(np.abs(big_h - mu[:, None]), pi), out=best)
     return best
 
 
@@ -125,14 +121,14 @@ def theta_exact(chain: FiniteChain, p: int, q: int, k: int,
     Pattern table: a tuple is its start k_1 plus a gap pattern
     0 = o_1 < ... < o_r = span <= T (T = tuple_horizon).  The pattern vector
     h_0 = f^{b_1} * P^{o_2 - o_1}(... * f^{b_r}) does not depend on k_1, so it
-    is built once per (pattern, exponents) and moved to every start at once:
-    for lags k_lo..k_hi, row j of ``H = P^{[k_lo .. k_hi + T - span]} @ h_0``
-    is E[monomial | xi_0] for k_1 = k_lo + j.  Each row's L1 deviation is
-    one value, and theta(k) is the max over the window of starts
-    k <= k_1 <= k + T - span.  This function is the one-lag case; :func:`theta_table_from_chain` sweeps every
-    lag in one pass.  The stacked products and row reductions run the same
-    BLAS kernels (gemv, ddot) as one product per start, so the values equal
-    those of enumerating every tuple at every lag, bit for bit.
+    is built once per (pattern, exponents), and ``P^{[k_lo .. k_hi]} @ h_0``
+    gives E[monomial | xi_0] at the starts k_1 = k_lo..k_hi.  Only k_1 = k
+    counts: pi P = pi makes P a contraction in L1(pi) (pi|P g| <= pi P|g| =
+    pi|g|), so a pattern's deviation never grows with its start, and the
+    pattern started at k lies in the window since span <= T.  This is the
+    one-lag case of :func:`theta_table_from_chain`.  Its BLAS kernels (gemv,
+    ddot) are those of one product per tuple, so each value equals, bit for
+    bit, that of enumerating the tuples that start at k.
     """
     return float(_theta_lags(chain, p, q, k, k, tuple_horizon)[0])
 

@@ -49,6 +49,9 @@ class ExperimentConfig:
     moment_q: float = 2.0
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for n in self.n_list):
+            raise ValueError(f"n_list entries must be integers, not {list(self.n_list)!r}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")

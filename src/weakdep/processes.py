@@ -18,7 +18,8 @@ Sampling is deterministic given ``(process, n, seed, replicate)``; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import MISSING, dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,7 +36,7 @@ LSV_BLOCK_STEPS = 4096   # time steps per block of the streaming orbit statistic
 
 
 def _as_exact_rows(transition: np.ndarray) -> list[list[Fraction]]:
-    """Exact row-normalized copy of a float transition matrix.
+    """Exact row-normalized copy of a validated float transition matrix.
 
     Floats are dyadic rationals, so ``Fraction(x)`` is lossless; rows are then
     renormalized exactly so that the stationary solve sees a genuinely
@@ -45,52 +46,33 @@ def _as_exact_rows(transition: np.ndarray) -> list[list[Fraction]]:
     for row in transition:
         exact = [Fraction(float(x)) for x in row]
         total = sum(exact)
-        if total <= 0:
-            raise ValueError("transition row with nonpositive mass")
         rows.append([x / total for x in exact])
     return rows
 
 
 def _exact_stationary(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Unique probability vector pi with pi P = pi, by exact elimination.
+    """Unique probability vector pi with pi P = pi, by one exact square solve.
 
-    Raises ``ValueError("non-unique stationary law")`` when the fixed space of
-    the transpose has dimension != 1 (reducible with several closed classes,
-    or the identity map).
+    The rows of P^T - I add up to zero, so its last row may be replaced by
+    ones (sum pi = 1).  That matrix is singular exactly when the fixed space
+    has dimension != 1 ("non-unique stationary law"); otherwise the solution
+    spans it, and the fixed space of a stochastic matrix holds a distribution.
     """
     n = len(rows)
-    # a = P^T - I
-    a = [[rows[j][i] - (Fraction(1) if i == j else Fraction(0)) for j in range(n)]
-         for i in range(n)]
-    pivot_cols: list[int] = []
-    r = 0
+    # augmented [B | e_n], B = P^T - I with its last row replaced by ones
+    a = [[rows[j][i] - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    a.append([Fraction(1)] * (n + 1))
     for c in range(n):
-        pr = next((i for i in range(r, n) if a[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
         if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+            raise ValueError("non-unique stationary law")
+        a[c], a[pr] = a[pr], a[c]
+        inv = a[c][c]
+        a[c] = [x / inv for x in a[c]]
         for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivot_cols.append(c)
-        r += 1
-    if r != n - 1:
-        raise ValueError("non-unique stationary law")
-    free = next(c for c in range(n) if c not in pivot_cols)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for row_idx, c in enumerate(pivot_cols):
-        x[c] = -a[row_idx][free]
-    total = sum(x)
-    if total == 0:
-        raise ValueError("non-unique stationary law")
-    pi = [v / total for v in x]
-    if any(p < 0 for p in pi):
-        raise ValueError("non-unique stationary law")
-    return pi
+            if i != c and (f := a[i][c]) != 0:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n] for row in a]
 
 
 def _snap_to_lattice(values: Sequence[float], step: float) -> np.ndarray:
@@ -114,9 +96,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class FiniteChain:
     """Stationary finite-state chain with a centered lattice observable.
 
-    ``observable == obs_int * step`` exactly; the stationary mean of the
-    observable is zero by construction (exact rational recentering).
-    Instances are immutable and safe to share across threads.
+    ``observable == obs_int * step`` exactly.  The builder recenters by the
+    rational with denominator at most ``MAX_LATTICE_REFINEMENT`` (10^6)
+    nearest the exact stationary mean, so the exact stationary mean of the
+    observable is zero when that mean's denominator is at most 10^6, and
+    within 1e-12 input lattice steps otherwise.  For example the float
+    entries of [[0.9, 0.1], [0.3, 0.7]] leave a mean of -6.9e-18 in lattice
+    units.  Instances are immutable and safe to share across threads.
     """
 
     states: tuple
@@ -152,12 +138,12 @@ def build_finite_chain(transition, observable_raw, step: float, states=None) -> 
     Raises
     ------
     ValueError
-        Non-stochastic rows, observable off the lattice, or a fixed space of
-        dimension != 1 ("non-unique stationary law").
+        An empty or non-stochastic matrix, an observable off the lattice or
+        not of one value per state, or a fixed space of dimension != 1.
     """
     t = np.asarray(transition, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("transition must be a square matrix")
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
+        raise ValueError("transition must be a nonempty square matrix")
     if np.any(t < 0):
         raise ValueError("transition entries must be nonnegative")
     row_sums = t.sum(axis=1)
@@ -166,6 +152,8 @@ def build_finite_chain(transition, observable_raw, step: float, states=None) -> 
     if step <= 0:
         raise ValueError("step must be positive")
     n = t.shape[0]
+    if len(observable_raw) != n:
+        raise ValueError("observable must assign one value per state")
     if states is None:
         states = tuple(range(n))
     else:
@@ -178,22 +166,19 @@ def build_finite_chain(transition, observable_raw, step: float, states=None) -> 
 
     obs_int = _snap_to_lattice(observable_raw, float(step))
     mean = sum(p * int(k) for p, k in zip(pi, obs_int))
-    if mean == 0:
-        new_int, new_step = obs_int, float(step)
-    else:
-        # Float kernels carry spurious huge denominators (0.9 is not 9/10 in
-        # binary); recenter by the closest bounded-denominator rational and
-        # insist the residual is far below the 1e-10 centering tolerance.
-        snapped = mean.limit_denominator(MAX_LATTICE_REFINEMENT)
-        if abs(float(mean - snapped)) > 1e-12:
-            raise ValueError(
-                "stationary mean denominator too large for exact lattice recentering")
-        d = snapped.denominator
-        new_int = obs_int * d - snapped.numerator
-        new_step = float(step) / d
+    # Float kernels carry spurious huge denominators (0.9 is not 9/10 in
+    # binary); recenter by the closest bounded-denominator rational (0/1 for a
+    # zero mean) and insist the residual is far below the centering tolerance.
+    snapped = mean.limit_denominator(MAX_LATTICE_REFINEMENT)
+    if abs(float(mean - snapped)) > 1e-12:
+        raise ValueError(
+            "stationary mean denominator too large for exact lattice recentering")
+    d = snapped.denominator
+    new_int = obs_int * d - snapped.numerator
+    new_step = float(step) / d
 
     observable = new_int.astype(float) * new_step
-    sup_norm = float(np.max(np.abs(observable))) if len(observable) else 0.0
+    sup_norm = float(np.max(np.abs(observable)))
     return FiniteChain(
         states=states,
         transition=np.array([[float(x) for x in row] for row in exact_rows]),
@@ -567,12 +552,44 @@ def refuse_unknown_keys(doc: dict, allowed) -> None:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
 
+# The JSON types a config value takes, by the type of its default: a required
+# setting (default MISSING: n_list) takes a list of integers, and one whose
+# default is None (a process document) an object.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), list: ((list,), "a list of integers"),
+               type(None): ((dict,), "an object")}
+
+
+def check_type(key: str, value, default) -> None:
+    """Refuse a config value whose JSON type is not its default's (a bool is
+    not an integer)."""
+    kind = list if default is MISSING else type(default)
+    types, name = _JSON_TYPES[kind]
+    if type(value) not in types or kind is list and any(type(n) is not int for n in value):
+        raise ValueError(f'config key "{key}" must be {name}, not {json.dumps(value)}')
+
+
+def _check_document(doc: dict, required, defaults: dict) -> None:
+    """Refuse a process document without a required key, or with a value whose
+    JSON type is not that of its entry in `defaults` (:func:`check_type`)."""
+    for key in required:
+        if key not in doc:
+            raise ValueError(f'process config needs a "{key}" key')
+    for key, default in defaults.items():
+        if key in doc:
+            check_type(key, doc[key], default)
+
+
 def process_from_config(doc: dict):
-    """Build the process a config document describes; unknown keys are refused."""
+    """Build the process a config document describes.  Unknown keys, missing
+    required keys and values of the wrong JSON type are refused; an absent
+    optional key takes its dataclass default (the class attribute)."""
     kind = doc.get("type")
     if kind == "finite_chain":
         refuse_unknown_keys(doc, ("type", "states", "transition", "observable", "step",
                                   "sup_path_bound"))
+        _check_document(doc, ("transition", "observable", "step"),
+                        {"step": 0.0, "sup_path_bound": 0.0})
         chain = build_finite_chain(doc["transition"], doc["observable"],
                                    float(doc["step"]), states=doc.get("states"))
         if "sup_path_bound" in doc:
@@ -580,13 +597,17 @@ def process_from_config(doc: dict):
         return chain
     if kind == "lsv":
         refuse_unknown_keys(doc, ("type", "gamma", "burn_in", "observable"))
+        _check_document(doc, ("gamma", "observable"),
+                        {"gamma": 0.0, "burn_in": LsvProcess.burn_in, "observable": None})
         obs = doc["observable"]
         refuse_unknown_keys(obs, ("kind", "center", "threshold"))
+        _check_document(obs, ("kind", "center"),
+                        {"center": 0.0, "threshold": LsvObservable.threshold})
         return LsvProcess(
             gamma=float(doc["gamma"]),
             observable=LsvObservable(kind=obs["kind"], center=float(obs["center"]),
-                                     threshold=float(obs.get("threshold", 0.5))),
-            burn_in=int(doc.get("burn_in", 10_000)),
+                                     threshold=float(obs.get("threshold",
+                                                             LsvObservable.threshold))),
+            burn_in=doc.get("burn_in", LsvProcess.burn_in),
         )
     raise ValueError(f"unknown process type {kind!r}")
-

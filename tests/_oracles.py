@@ -17,8 +17,10 @@ E(U - V)^2 of one coupled block against its exact quadrature);
 ``block_stream`` addresses one BLOCK substream.  ``lattice_constants_loop``
 is the constants search as the c2-by-c2 loop the array search replaced,
 ``positive_exponent_vectors_recursive`` the exponent-vector recursion that
-the stars-and-bars enumeration replaced, and ``block_dist_from_atoms`` /
-``block_dist_mean`` build and average hand-made block laws.
+the stars-and-bars enumeration replaced, ``exact_stationary_elimination``
+the rank-revealing elimination that the square stationary solve replaced,
+and ``block_dist_from_atoms`` / ``block_dist_mean`` build and average
+hand-made block laws.
 """
 
 import math
@@ -101,10 +103,13 @@ def theta_brute(chain, p, q, k, horizon):
     return best
 
 
-def theta_exact_loop(chain, p, q, k, tuple_horizon):
-    """Reference theta(k): enumerate every index tuple in [k, k + T] and every
-    positive exponent vector again for each lag, one matrix-vector product
-    per tuple.  The pattern-table kernel must reproduce it bit for bit."""
+def theta_exact_loop(chain, p, q, k, tuple_horizon, first_start=False):
+    """Reference theta(k): enumerate every index tuple in [k, k + T] (with
+    `first_start`, only those with k_1 = k) and every positive exponent
+    vector again for each lag, one matrix-vector product per tuple.  The
+    pattern-table kernel must reproduce the first-start loop bit for bit on
+    any weight vector, and on a chain whose weights are its stationary law
+    the full loop exceeds it by rounding only."""
     f = chain.observable
     pi = chain.stationary
     powers = [np.eye(chain.n_states)]
@@ -114,6 +119,8 @@ def theta_exact_loop(chain, p, q, k, tuple_horizon):
     best = 0.0
     for r in range(1, min(p, q) + 1):
         for indices in combinations(range(k, k + tuple_horizon + 1), r):
+            if first_start and indices[0] != k:
+                continue
             for b in _positive_vectors(r, q):
                 h = f_pows[b[r - 1]]
                 for i in range(r - 1, 0, -1):
@@ -125,6 +132,48 @@ def theta_exact_loop(chain, p, q, k, tuple_horizon):
                 if val > best:
                     best = val
     return best
+
+
+def exact_stationary_elimination(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Unique probability vector pi with pi P = pi, by exact elimination.
+
+    Raises ``ValueError("non-unique stationary law")`` when the fixed space of
+    the transpose has dimension != 1 (reducible with several closed classes,
+    or the identity map).
+    """
+    n = len(rows)
+    # a = P^T - I
+    a = [[rows[j][i] - (Fraction(1) if i == j else Fraction(0)) for j in range(n)]
+         for i in range(n)]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivot_cols.append(c)
+        r += 1
+    if r != n - 1:
+        raise ValueError("non-unique stationary law")
+    free = next(c for c in range(n) if c not in pivot_cols)
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for row_idx, c in enumerate(pivot_cols):
+        x[c] = -a[row_idx][free]
+    total = sum(x)
+    if total == 0:
+        raise ValueError("non-unique stationary law")
+    pi = [v / total for v in x]
+    if any(p < 0 for p in pi):
+        raise ValueError("non-unique stationary law")
+    return pi
 
 
 def srw_max_tail_dp(n, x):
@@ -227,7 +276,10 @@ def covariance_series_partial(chain, kmax):
 def random_lattice_chain(rng, n_states):
     """Random lattice chain with zero transition entries and integer
     observable values in [-3, 3]; the stationary vector is uniform, not the
-    chain's own law, which no kernel compared here depends on."""
+    chain's own law.  Kernels compared on it must agree for any weight
+    vector, so theta is compared here with the first-start loop only: the
+    kernel's first-start rule needs pi P = pi, which build_finite_chain
+    chains (and their symmetrizations) have."""
     shape = (n_states, n_states)
     weights = rng.integers(0, 4, size=shape) * (rng.random(shape) < 0.6)
     weights[weights.sum(axis=1) == 0, 0] = 1

@@ -237,12 +237,47 @@ def test_coeffs_refuses_a_huge_budget_at_once(tmp_path):
     (["export-path"], {"process": "flip"}, 'config key "process" must be an object, not "flip"'),
     (["coeffs", "--p", "13", "--q", "13"], {"process": FLIP},
      "tuple budget exceeded; reduce tuple_horizon or p, q"),
+    (["export-path", "--n", "8"], {"process": {**LSV, "burn_in": 50.9}},
+     'config key "burn_in" must be an integer, not 50.9'),
+    (["export-path", "--n", "8"], {"process": {**LSV, "burn_in": True}},
+     'config key "burn_in" must be an integer, not true'),
+    (["export-path", "--n", "8"],
+     {"process": {k: v for k, v in LSV.items() if k != "gamma"}},
+     'process config needs a "gamma" key'),
+    (["export-path", "--n", "8"],
+     {"process": {**LSV, "observable": {"kind": "identity"}}},
+     'process config needs a "center" key'),
+    (["export-path", "--n", "8"],
+     {"process": {**LSV, "observable": {"kind": "identity", "center": "0.4"}}},
+     'config key "center" must be a number, not "0.4"'),
+    (["export-path", "--n", "8"],
+     {"process": {**LSV, "observable": {"kind": "indicator", "center": 0.5,
+                                        "threshold": "0.5"}}},
+     'config key "threshold" must be a number, not "0.5"'),
+    (["export-path", "--n", "8"], {"process": {**LSV, "gamma": "0.2"}},
+     'config key "gamma" must be a number, not "0.2"'),
+    (["export-path", "--n", "8"], {"process": {**LSV, "observable": "identity"}},
+     'config key "observable" must be an object, not "identity"'),
+    (["export-path", "--n", "8"],
+     {"process": {k: v for k, v in FLIP.items() if k != "step"}},
+     'process config needs a "step" key'),
+    (["export-path", "--n", "8"], {"process": {**FLIP, "step": True}},
+     'config key "step" must be a number, not true'),
+    (["export-path", "--n", "8"], {"process": {**COBOUNDARY, "sup_path_bound": "2"}},
+     'config key "sup_path_bound" must be a number, not "2"'),
+    (["rates"], {"process": LSV, "n_list": [256, 512],
+                 "surrogate": {k: v for k, v in FLIP.items() if k != "transition"}},
+     'process config needs a "transition" key'),
 ], ids=["bound-fit-lsv", "bound-check-lsv", "couple-run-lsv", "couple-run-degenerate",
         "couple-run-n-3000", "couple-run-n-4", "bound-fit-replicates-float",
         "bound-fit-grid-n-float", "rates-replicates-float", "rates-seed-string",
         "rates-seed-bool", "rates-n-list-float", "rates-n-list-int", "rates-tolerance-string",
         "couple-run-p-bool", "couple-run-variant-int", "rates-lsv-surrogate-string",
-        "export-path-process-string", "coeffs-tuple-budget"])
+        "export-path-process-string", "coeffs-tuple-budget", "lsv-burn-in-float",
+        "lsv-burn-in-bool", "lsv-gamma-missing", "lsv-center-missing", "lsv-center-string",
+        "lsv-threshold-string", "lsv-gamma-string", "lsv-observable-string",
+        "chain-step-missing", "chain-step-bool", "chain-sup-path-bound-string",
+        "surrogate-transition-missing"])
 def test_command_refuses_process(tmp_path, command, doc, message):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),

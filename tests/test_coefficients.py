@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,8 +110,9 @@ CHAIN_SHAPES = st.one_of(st.tuples(st.integers(1, 9), st.just(False)),
        st.integers(1, 4), st.integers(0, 8), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_theta_table_matches_per_lag_loop(shape, seed, p, q, horizon, tuple_horizon):
-    # The pattern-table kernel against the per-lag enumeration it replaced:
-    # identical bits for the table and for every single lag.
+    # The pattern-table kernel against the per-lag enumeration of the tuples
+    # that start at k: identical bits for the table and for every single lag,
+    # whatever the weight vector (random_lattice_chain's is not its own law).
     n_states, symmetrized = shape
     chain = random_lattice_chain(np.random.default_rng(seed), n_states)
     if symmetrized:
@@ -118,13 +120,58 @@ def test_theta_table_matches_per_lag_loop(shape, seed, p, q, horizon, tuple_hori
             chain = symmetrize(chain)
         except ValueError:  # the product chain has several closed classes
             assume(False)
-    want = [theta_exact_loop(chain, p, q, k, tuple_horizon) for k in range(horizon + 1)]
+    want = [theta_exact_loop(chain, p, q, k, tuple_horizon, first_start=True)
+            for k in range(horizon + 1)]
     table = theta_table_from_chain(chain, p, q, horizon, 0.0,
                                    tuple_horizon=tuple_horizon)
     assert table.values.tobytes() == np.minimum.accumulate(want).tobytes()
     for k, value in enumerate(want):
         assert np.float64(theta_exact(chain, p, q, k, tuple_horizon)).tobytes() == \
             np.float64(value).tobytes()
+
+
+@given(CHAIN_SHAPES, st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 8), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_theta_first_start_matches_full_window(shape, seed, p, q, horizon, tuple_horizon):
+    # On a chain whose weights are its own stationary law, the tuples that
+    # start after k add nothing but rounding: the loop over the whole window
+    # [k, k + T] is never below the kernel, bit for bit (the kernel's tuples
+    # are among its own), and exceeds it by at most 1e-14 of the largest value.
+    n_states, symmetrized = shape
+    base = random_lattice_chain(np.random.default_rng(seed), n_states)
+    try:
+        chain = build_finite_chain(base.transition, base.observable, 1.0)
+        if symmetrized:
+            chain = symmetrize(chain)
+    except ValueError:  # several closed classes, or a huge mean denominator
+        assume(False)
+    got = np.array([theta_exact(chain, p, q, k, tuple_horizon) for k in range(horizon + 1)])
+    want = np.array([theta_exact_loop(chain, p, q, k, tuple_horizon)
+                     for k in range(horizon + 1)])
+    assert np.all(want >= got)
+    assert np.all(want - got <= 1e-14 * want.max())
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_transition_contracts_in_l1_of_stationary_law(n_states, seed):
+    # The fact behind the first-start rule, in exact arithmetic: for pi P = pi
+    # and any g and constant c, pi|P g - c| <= pi|g - c|.
+    rng = np.random.default_rng(seed)
+    base = random_lattice_chain(rng, n_states)
+    try:
+        chain = build_finite_chain(base.transition, base.observable, 1.0)
+    except ValueError:  # several closed classes, or a huge mean denominator
+        assume(False)
+    p, pi = chain.exact_transition, chain.exact_stationary
+    g = [Fraction(int(v)) for v in rng.integers(-8, 9, n_states)]
+    c = Fraction(int(rng.integers(-8, 9)), 3)
+    for _ in range(4):
+        pg = [sum(pij * gj for pij, gj in zip(row, g)) for row in p]
+        assert (sum(w * abs(v - c) for w, v in zip(pi, pg))
+                <= sum(w * abs(v - c) for w, v in zip(pi, g)))
+        g = pg
 
 
 @given(st.integers(0, 2**32 - 1))

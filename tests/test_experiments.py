@@ -46,6 +46,15 @@ def test_config_validation(flip25):
                                              replicates=8))
 
 
+def test_config_refuses_fractional_n(flip25):
+    for n_list in ([256.9, 512], [256.0, 512], [True, 512], np.array([256.0, 512.0])):
+        with pytest.raises(ValueError, match="^n_list entries must be integers"):
+            ExperimentConfig(process=flip25, n_list=n_list)
+    cfg = ExperimentConfig(process=flip25, n_list=[np.int64(256), np.int32(512), 1024])
+    assert cfg.n_list == (256, 512, 1024)
+    assert all(type(n) is int for n in cfg.n_list)
+
+
 @pytest.mark.parametrize("name", ["rates_flip", "rates_lsv", "wasserstein_flip",
                                   "degenerate_flip"])
 def test_shipped_experiment_configs_load(name):

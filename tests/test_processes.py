@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from weakdep.processes import (LsvObservable, LsvProcess,
                                process_from_config, process_to_config,
                                sample_lsv_ensemble)
 
-from _oracles import (chain_states_loop, lsv_map_expr, lsv_running_stats_per_n,
-                      normalize_process, random_lattice_chain)
+from _oracles import (chain_states_loop, exact_stationary_elimination, lsv_map_expr,
+                      lsv_running_stats_per_n, normalize_process, random_lattice_chain)
 
 
 def test_flip_chain_stationary_and_sup_norm():
@@ -29,6 +30,48 @@ def test_flip_chain_stationary_and_sup_norm():
 def test_identity_transition_rejected():
     with pytest.raises(ValueError, match="non-unique stationary law"):
         build_finite_chain(np.eye(2), [1.0, -1.0], 1.0)
+
+
+@st.composite
+def stochastic_rows(draw):
+    """Exact stochastic rows, each a random dyadic row with zeros (masses
+    k / 2^bits), a row of a random permutation, or a row of the identity."""
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(n)))
+    rows = []
+    for i in range(n):
+        kind = draw(st.sampled_from(("dyadic", "permutation", "identity")))
+        if kind == "dyadic":
+            unit = 2 ** draw(st.integers(0, 4))
+            cuts = sorted(draw(st.lists(st.integers(0, unit), min_size=n - 1,
+                                        max_size=n - 1)))
+            rows.append([Fraction(b - a, unit) for a, b in zip([0, *cuts], [*cuts, unit])])
+        else:
+            target = perm[i] if kind == "permutation" else i
+            rows.append([Fraction(int(j == target)) for j in range(n)])
+    return rows
+
+
+@given(stochastic_rows())
+@settings(max_examples=300, deadline=None)
+def test_square_stationary_solve_matches_elimination(rows):
+    # The square solve against the rank-revealing elimination it replaced:
+    # the same Fractions, or the same refusal.
+    def solve(method):
+        try:
+            return method([list(row) for row in rows])
+        except ValueError as exc:
+            return str(exc)
+
+    assert solve(processes._exact_stationary) == solve(exact_stationary_elimination)
+
+
+def test_empty_or_mismatched_chain_rejected():
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        build_finite_chain(np.zeros((0, 0)), [], 1.0)
+    for observable in ([], [1.0, 0.0, -1.0]):
+        with pytest.raises(ValueError, match="one value per state"):
+            build_finite_chain([[0.5, 0.5], [0.5, 0.5]], observable, 1.0)
 
 
 def test_three_state_stationary_matches_linear_solve(three_state):
