@@ -7,7 +7,7 @@ from .processes import (FiniteChain, LsvObservable, LsvProcess, SamplePath,
 from .coefficients import (SeriesSummary, ThetaTable,
                            degenerate_moment_bound, series_summary,
                            sigma2_exact, theta_exact, theta_table_from_chain)
-from .bounds import (ConstantsFit, FukNagaevParams, TailEstimate,
+from .bounds import (ConstantsFit, TailEstimate,
                      degenerate_moment_check, empirical_tail, fit_constants,
                      series_convergence_check, tail_grid, validate_constants)
 from .coupling import (BlockDist, CoupledPath, CouplingSchedule,

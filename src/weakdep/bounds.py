@@ -2,7 +2,8 @@
 
 The central object is the two-term deviation bound for the running maximum of
 partial sums: a sub-Gaussian term (suppressed when the variance rate
-vanishes) plus a polynomial term driven by the aggregate dependence sums.
+vanishes) plus a polynomial term driven by the aggregate dependence sums,
+both evaluated at (n, x) points by ``bound_terms(summary, points)``.
 Its numerical constants are not pinned by theory, so they are fitted: the
 smallest constants on a log grid that dominate empirical tail estimates on a
 training grid, then validated on a disjoint holdout grid.
@@ -14,7 +15,7 @@ results are independent of chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,49 +34,30 @@ SEARCH_BOX = (1e-3, 1e6)            # range of the fitted constants' log lattice
 # Bound arithmetic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FukNagaevParams:
-    """Inputs of the two-term tail bound at a single (n, x) query."""
-
-    n: int
-    x: float
-    sigma2: float
-    theta1: float
-    theta2: float
-    weighted_x: float
-
-    def __post_init__(self):
-        if self.n < 1:
+def bound_terms(summary: SeriesSummary, points) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian and the polynomial term of the bound at c1 = c2 = 1, one
+    entry per (n, x) of ``points``.  The Gaussian term carries the variance
+    indicator and is 0 when sigma2 == 0."""
+    sigma2, theta1, theta2 = summary.sigma2, summary.theta1, summary.theta2
+    gauss, poly = [], []
+    for n, x in points:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not self.x > 0:
+        if not x > 0:
             raise ValueError("x must be positive")
-        if self.sigma2 < 0:
+        if sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
-        if self.theta1 < 1 or self.theta2 < 1:
+        if theta1 < 1 or theta2 < 1:
             raise ValueError("theta1 and theta2 must be >= 1")
-        if not math.isfinite(self.theta2) or not math.isfinite(self.weighted_x):
+        weighted_x = summary.weighted(x)
+        if not math.isfinite(theta2) or not math.isfinite(weighted_x):
             raise ValueError("divergent dependence series; bound refuses such inputs")
-        if self.weighted_x < 0:
+        if weighted_x < 0:
             raise ValueError("weighted_x must be nonnegative")
-
-
-def bound_terms(params: FukNagaevParams) -> tuple[float, float]:
-    """The two terms of the bound at c1 = c2 = 1: (Gaussian, polynomial).  The
-    Gaussian term carries the variance indicator and is 0 when sigma2 == 0."""
-    n, x, sigma2 = params.n, params.x, params.sigma2
-    gauss = 0.0
-    if sigma2 > 0:
-        gauss = (n * sigma2 / x ** 2) ** 4 * math.exp(-x ** 2 / (16.0 * n * sigma2))
-    poly = n / x ** 4 * (params.theta1 * params.theta2 + params.weighted_x)
-    return gauss, poly
-
-
-def params_from_summary(summary: SeriesSummary, n: int, x: float) -> FukNagaevParams:
-    """Bound inputs at (n, x) from a series summary, sigma2 included."""
-    if summary.sigma2 is None:
-        raise ValueError("series summary carries no sigma2")
-    return FukNagaevParams(n=n, x=x, sigma2=summary.sigma2, theta1=summary.theta1,
-                           theta2=summary.theta2, weighted_x=summary.weighted(x))
+        gauss.append((n * sigma2 / x ** 2) ** 4 * math.exp(-x ** 2 / (16.0 * n * sigma2))
+                     if sigma2 > 0 else 0.0)
+        poly.append(n / x ** 4 * (theta1 * theta2 + weighted_x))
+    return np.array(gauss, dtype=float), np.array(poly, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -219,56 +201,41 @@ def tail_grid(n_values, points_per_n: int, sup_norm: float,
 class ConstantsFit:
     c1: float
     c2: float
-    rows: list = field(default_factory=list)
+    rows: list
 
     @property
     def binding(self) -> list:
         return [row for row in self.rows if row["binding"]]
 
 
-def _grid_terms(summary: SeriesSummary, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid point: Gaussian term at c1 = 1 and polynomial term at c2 = 1."""
-    terms = np.array([bound_terms(params_from_summary(summary, n, x)) for n, x in grid],
-                     dtype=float).reshape(-1, 2)
-    return terms[:, 0], terms[:, 1]
-
-
-def _tail_rows(process, grid, replicates: int, seed: int, summary: SeriesSummary):
-    """The pass the fit and the check share: the ``n, x, p_hat, ci_low,
-    ci_high`` rows, the tail estimates and the Gaussian (a) and polynomial (b)
-    term columns of an (n, x) grid, from one simulated sample per distinct n.
-    A summary the bound refuses fails before anything is simulated."""
-    a, b = _grid_terms(summary, grid)
+def _tail_rows(process, grid, replicates: int, seed: int) -> list[dict]:
+    """The pass the fit and the check share: ``n, x, p_hat, ci_low, ci_high``
+    rows of an (n, x) grid from one simulated sample per distinct n."""
     samples = {n: path_statistics(process, n, replicates, seed)
                for n in dict.fromkeys(n for n, _ in grid)}
-    ests = [empirical_tail(samples[n], x) for n, x in grid]
-    return [{"n": n, "x": x, **vars(est)} for (n, x), est in zip(grid, ests)], ests, a, b
+    return [{"n": n, "x": x, **vars(empirical_tail(samples[n], x))} for n, x in grid]
 
 
-def _envelope_constraints(grid, ests, summary):
-    """Interior dominance constraints between adjacent training x at fixed n,
-    at five log-spaced points inside each gap.
-
-    The true tail is nonincreasing in x, so between anchors it stays below
-    the left anchor's upper confidence limit; a noise allowance covers the
-    fluctuation of the holdout interval itself.  Returns (a, b, u) rows.
-    """
+def _envelope_points(grid) -> tuple[list, list]:
+    """Five log-spaced points inside each gap between adjacent training x at
+    fixed n (n in grid order, x sorted), and each point's left anchor: the
+    index of the gap's left grid point."""
     by_n: dict[int, list] = {}
-    for (n, x), est in zip(grid, ests):
-        by_n.setdefault(n, []).append((x, est))
-    rows_a, rows_b, rows_u = [], [], []
-    for n, points in by_n.items():
-        points.sort(key=lambda t: t[0])
-        for (x_l, est_l), (x_r, _) in zip(points, points[1:]):
-            width = est_l.ci_high - est_l.ci_low
-            pad = 1.0 + min(0.5, 2.0 * width / max(est_l.p_hat, width, 1e-300))
-            target = est_l.ci_high * pad
-            xs = np.geomspace(x_l, x_r, 7)[1:-1]
-            a, b = _grid_terms(summary, [(n, float(x)) for x in xs])
-            rows_a.extend(a)
-            rows_b.extend(b)
-            rows_u.extend([target] * len(xs))
-    return np.asarray(rows_a), np.asarray(rows_b), np.asarray(rows_u)
+    for i, (n, x) in enumerate(grid):
+        by_n.setdefault(n, []).append((x, i))
+    points, anchors = [], []
+    for n, xs in by_n.items():
+        xs.sort(key=lambda t: t[0])
+        for (x_l, i), (x_r, _) in zip(xs, xs[1:]):
+            points.extend((n, float(x)) for x in np.geomspace(x_l, x_r, 7)[1:-1])
+            anchors.extend([i] * 5)
+    return points, anchors
+
+
+def _padded_limit(row: dict) -> float:
+    """An anchor row's upper confidence limit times its noise allowance."""
+    width = row["ci_high"] - row["ci_low"]
+    return row["ci_high"] * (1.0 + min(0.5, 2.0 * width / max(row["p_hat"], width, 1e-300)))
 
 
 def _lattice_constants(a, b, targets, box) -> tuple[float, float]:
@@ -292,11 +259,13 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
     ``SEARCH_BOX``) whose bound dominates the empirical tail curve over the
     training grid.
 
-    Dominance is required at every grid point (rhs >= ci_high) and, through
-    the monotonicity of the tail in x, across each gap between adjacent
-    training x (rhs >= left anchor's upper limit, noise-padded).  The gap
-    envelope is what makes fitted constants transfer to disjoint holdout
-    grids instead of relying on lattice overshoot.
+    The constraints are one table: the bound's terms (a, b) at the grid
+    points, with target ci_high, and at five points inside each gap between
+    adjacent training x at fixed n, whose target is the left anchor's upper
+    limit padded for holdout noise (the tail is nonincreasing in x).  This
+    gap envelope makes fitted constants transfer to disjoint holdout grids
+    instead of relying on lattice overshoot.  Terms are evaluated before
+    anything is simulated, so a summary the bound refuses fails first.
 
     Each lattice c1 takes the least lattice c2 at or above the envelope
     c2(c1) = max((target - c1 * a) / b); every polynomial term b is
@@ -307,13 +276,15 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
     c1 lands on the box minimum.  Raises when no lattice pair dominates,
     which signals a bound violation or broken inputs.
     """
-    rows, ests, a, b = _tail_rows(process, grid, replicates, seed, summary)
-    targets = np.array([est.ci_high for est in ests])
-    a_env, b_env, u_env = _envelope_constraints(grid, ests, summary)
-    c1, c2 = _lattice_constants(np.r_[a, a_env], np.r_[b, b_env], np.r_[targets, u_env],
-                                SEARCH_BOX)
-    rhs = c1 * a + c2 * b
-    ratios = rhs / np.maximum(targets, 1e-300)
+    envelope, anchors = _envelope_points(grid)
+    a, b = bound_terms(summary, [*grid, *envelope])
+    rows = _tail_rows(process, grid, replicates, seed)
+    targets = np.array([row["ci_high"] for row in rows]
+                       + [_padded_limit(rows[i]) for i in anchors])
+    c1, c2 = _lattice_constants(a, b, targets, SEARCH_BOX)
+    k = len(grid)
+    rhs = c1 * a[:k] + c2 * b[:k]
+    ratios = rhs / np.maximum(targets[:k], 1e-300)
     min_ratio = float(ratios.min())
     for row, value, ratio in zip(rows, rhs, ratios):
         row["rhs"] = float(value)
@@ -321,12 +292,14 @@ def fit_constants(process, grid, replicates: int, seed: int, *,
     return ConstantsFit(c1=c1, c2=c2, rows=rows)
 
 
-def validate_constants(process, fit: ConstantsFit, holdout_grid, replicates: int,
+def validate_constants(process, c1: float, c2: float, holdout_grid, replicates: int,
                        seed: int, *, summary: SeriesSummary) -> tuple[bool, list]:
-    """Check bound dominance of the fit's constants over the holdout grid's
-    upper confidence limits."""
-    rows, _, a, b = _tail_rows(process, holdout_grid, replicates, seed, summary)
-    for row, value in zip(rows, fit.c1 * a + fit.c2 * b):
+    """Check dominance of the bound with constants c1, c2 over the holdout
+    grid's upper confidence limits.  A summary the bound refuses fails before
+    anything is simulated."""
+    a, b = bound_terms(summary, holdout_grid)
+    rows = _tail_rows(process, holdout_grid, replicates, seed)
+    for row, value in zip(rows, c1 * a + c2 * b):
         row["rhs"] = float(value)
         row["dominates"] = bool(value >= row["ci_high"])
     return all(row["dominates"] for row in rows), rows

@@ -204,9 +204,8 @@ def bound_check(config_path, seed, out_dir, c1, c2):
     settings = _read_config(config_path, "bound", seed)
     process, summary, grid = _bound_setup(settings, holdout=True)
     run_seed = holdout_seed(settings["seed"]) if seed is None else seed
-    fit = bnd.ConstantsFit(c1=c1, c2=c2)
-    ok, rows = bnd.validate_constants(process, fit, grid, settings["replicates"], run_seed,
-                                      summary=summary)
+    ok, rows = bnd.validate_constants(process, c1, c2, grid, settings["replicates"],
+                                      run_seed, summary=summary)
     _emit(out_dir, settings, {"dominates_holdout": ok}, {"holdout_grid": rows},
           seed=run_seed, c1=c1, c2=c2)
     click.echo(f"dominates_holdout={ok}")

@@ -286,16 +286,17 @@ class SeriesSummary:
     """Aggregate dependence sums feeding the tail bound.
 
     ``weighted(x)`` evaluates ``sum_{k>=1} k (k ^ x) theta(k)`` with the
-    minimum taken exactly.
+    minimum taken exactly; ``sigma2`` is the covariance series, which the
+    Gaussian term of the bound reads.
     """
 
     theta1: float
     theta2: float
     weighted: Callable[[float], float]
-    sigma2: float | None = None
+    sigma2: float
 
 
-def series_summary(table: ThetaTable, sigma2: float | None = None) -> SeriesSummary:
+def series_summary(table: ThetaTable, sigma2: float) -> SeriesSummary:
     """Theta_1 = 1 + sum theta(k), Theta_2 = 1 + sum k theta(k), and the
     weighted evaluator, with the geometric tail summed in closed form."""
     v = table.values

@@ -470,21 +470,17 @@ def lsv_running_stats(process: LsvProcess, n_list: Sequence[int], seed: int,
 def symmetrize(chain: FiniteChain) -> FiniteChain:
     """Chain of Z_i = X_i - X'_i with (X') an independent copy of (X).
 
-    Built exactly as the product chain on state pairs with observable
-    f(s) - f(s'); the product stationary law is recomputed by the exact
-    solver (and equals the product of the marginals).
+    Built exactly as the product chain on state pairs, (i, j) at index
+    i * S + j, with transition P kron P and observable f(i) - f(j); the
+    product stationary law is recomputed by the exact solver (and equals
+    the product of the marginals).
     """
     if not isinstance(chain, FiniteChain):
         raise TypeError("symmetrize is implemented for exact finite chains only")
-    n = chain.n_states
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    t = np.zeros((n * n, n * n))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            t[a, b] = chain.transition[i, k] * chain.transition[j, l]
-    obs = [chain.observable[i] - chain.observable[j] for (i, j) in pairs]
-    labels = tuple((chain.states[i], chain.states[j]) for (i, j) in pairs)
-    return build_finite_chain(t, obs, chain.step, states=labels)
+    f = chain.observable
+    labels = tuple((a, b) for a in chain.states for b in chain.states)
+    return build_finite_chain(np.kron(chain.transition, chain.transition),
+                              (f[:, None] - f[None, :]).ravel(), chain.step, states=labels)
 
 
 def make_coboundary(chain: FiniteChain, g_values) -> FiniteChain:
@@ -552,21 +548,35 @@ def refuse_unknown_keys(doc: dict, allowed) -> None:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
 
-# The JSON types a config value takes, by the type of its default: a required
-# setting (default MISSING: n_list) takes a list of integers, and one whose
-# default is None (a process document) an object.
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str,), "a string"), list: ((list,), "a list of integers"),
-               type(None): ((dict,), "an object")}
+# The JSON types a config value takes, by the type of its default: a default
+# of None (a process document) takes an object, and a list default a list
+# whose entries each take the type of its first entry.  A required setting
+# (default MISSING: n_list) takes a list of integers.
+_JSON_TYPES = {int: ((int,), "an integer", "integers"),
+               float: ((int, float), "a number", "numbers"),
+               str: ((str,), "a string", "strings"),
+               type(None): ((dict,), "an object", "objects")}
+
+
+def _has_type(value, default) -> bool:
+    if type(default) is list:
+        return type(value) is list and all(_has_type(v, default[0]) for v in value)
+    return type(value) in _JSON_TYPES[type(default)][0]
+
+
+def _type_name(default, plural: bool = False) -> str:
+    if type(default) is list:
+        return f"{'lists' if plural else 'a list'} of {_type_name(default[0], True)}"
+    return _JSON_TYPES[type(default)][1 + plural]
 
 
 def check_type(key: str, value, default) -> None:
     """Refuse a config value whose JSON type is not its default's (a bool is
     not an integer)."""
-    kind = list if default is MISSING else type(default)
-    types, name = _JSON_TYPES[kind]
-    if type(value) not in types or kind is list and any(type(n) is not int for n in value):
-        raise ValueError(f'config key "{key}" must be {name}, not {json.dumps(value)}')
+    default = [0] if default is MISSING else default
+    if not _has_type(value, default):
+        raise ValueError(f'config key "{key}" must be {_type_name(default)}, '
+                         f'not {json.dumps(value)}')
 
 
 def _check_document(doc: dict, required, defaults: dict) -> None:
@@ -589,7 +599,8 @@ def process_from_config(doc: dict):
         refuse_unknown_keys(doc, ("type", "states", "transition", "observable", "step",
                                   "sup_path_bound"))
         _check_document(doc, ("transition", "observable", "step"),
-                        {"step": 0.0, "sup_path_bound": 0.0})
+                        {"states": [""], "transition": [[0.0]], "observable": [0.0],
+                         "step": 0.0, "sup_path_bound": 0.0})
         chain = build_finite_chain(doc["transition"], doc["observable"],
                                    float(doc["step"]), states=doc.get("states"))
         if "sup_path_bound" in doc:

@@ -50,17 +50,6 @@ def write_table_dat(rows: list[dict], path: str) -> None:
             fh.write(" ".join(_format_cell(row.get(c)) or "nan" for c in cols) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    try:
-        return obj.to_dict()
-    except AttributeError:
-        raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def emit_report(results: dict, out_dir: str) -> list[str]:
     """Write summary.json plus one CSV and one .dat per table; returns paths.
 
@@ -78,7 +67,7 @@ def emit_report(results: dict, out_dir: str) -> list[str]:
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w") as fh:
         json.dump({"config": results["config"], "summary": results["summary"]},
-                  fh, indent=2, sort_keys=True, default=_json_default)
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
     written.append(summary_path)
     for name, rows in tables.items():

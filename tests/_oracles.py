@@ -19,8 +19,9 @@ is the constants search as the c2-by-c2 loop the array search replaced,
 ``positive_exponent_vectors_recursive`` the exponent-vector recursion that
 the stars-and-bars enumeration replaced, ``exact_stationary_elimination``
 the rank-revealing elimination that the square stationary solve replaced,
-and ``block_dist_from_atoms`` / ``block_dist_mean`` build and average
-hand-made block laws.
+``symmetrize_loop`` the pair-by-pair product chain that ``symmetrize``'s
+Kronecker product replaced, and ``block_dist_from_atoms`` /
+``block_dist_mean`` build and average hand-made block laws.
 """
 
 import math
@@ -529,6 +530,21 @@ def sigma2_extrapolated(chain: FiniteChain, n: int = 2**16) -> float:
 
 def block_stream(seed: int, n: int, replicate: int, serial: int) -> np.random.Generator:
     return substream(seed, Domain.BLOCK, block_address(n, replicate), serial)
+
+
+def symmetrize_loop(chain: FiniteChain) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Reference pair construction of ``symmetrize``: the transition, the
+    observable f(s) - f(s') and the labels of the product chain on state
+    pairs, filled pair by pair."""
+    n = chain.n_states
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    t = np.zeros((n * n, n * n))
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            t[a, b] = chain.transition[i, k] * chain.transition[j, l]
+    obs = np.array([chain.observable[i] - chain.observable[j] for (i, j) in pairs])
+    labels = tuple((chain.states[i], chain.states[j]) for (i, j) in pairs)
+    return t, obs, labels
 
 
 def symmetrization_check(chain: FiniteChain, p: int, q: int, k: int,

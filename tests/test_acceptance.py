@@ -19,8 +19,7 @@ from weakdep import (ExperimentConfig, build_finite_chain, donsker_wasserstein,
                      flip_chain, make_coboundary,
                      make_schedule, run_degenerate_suite, run_rate_experiment,
                      series_summary, sigma2_exact, theta_exact)
-from weakdep.bounds import (bound_terms, fit_constants, params_from_summary,
-                            tail_grid, validate_constants)
+from weakdep.bounds import bound_terms, fit_constants, tail_grid, validate_constants
 from weakdep.coefficients import ThetaTable, summarize_chain
 from weakdep.coupling import build_coupling, coupling_errors
 from weakdep.experiments import REFERENCE_EXPONENT
@@ -116,7 +115,7 @@ def test_criterion_04_bound_dominance(chain, flip_summary):
     assert not set(train) & set(hold)
     fit = fit_constants(chain, train, 100_000, SEED, summary=summ)
     ok = fit.c1 <= 1e4 and fit.c2 <= 1e4
-    dominated, rows = validate_constants(chain, fit, hold, 100_000, SEED + 1,
+    dominated, rows = validate_constants(chain, fit.c1, fit.c2, hold, 100_000, SEED + 1,
                                          summary=summ)
     ok &= dominated
     worst = min(r["rhs"] / max(r["ci_high"], 1e-300) for r in rows)
@@ -131,8 +130,8 @@ def test_criterion_05_polynomial_regime_slope():
     summ = series_summary(table, sigma2=3.0)
     n = 80_000
     xs = np.geomspace(2.0 * math.sqrt(n), n / 2.0, 25)
-    rhs = [sum(bound_terms(params_from_summary(summ, n, float(x))))
-           for x in xs]
+    gauss, poly = bound_terms(summ, [(n, float(x)) for x in xs])
+    rhs = gauss + poly
     decade = xs >= xs[-1] / 10.0
     slope = float(np.polyfit(np.log(xs[decade]),
                              np.log(np.asarray(rhs)[decade]), 1)[0])

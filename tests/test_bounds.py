@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import (ConstantsFit, FukNagaevParams, empirical_tail, fit_constants,
-                     flip_chain, make_coboundary, series_summary, tail_grid,
-                     validate_constants)
+from weakdep import (empirical_tail, fit_constants, flip_chain, make_coboundary,
+                     series_summary, tail_grid, validate_constants)
 from weakdep import bounds, experiments
 from weakdep.bounds import (TailSample, bound_terms, clopper_pearson,
-                            degenerate_moment_check, params_from_summary,
-                            path_statistics, series_convergence_check)
+                            degenerate_moment_check, path_statistics,
+                            series_convergence_check)
 from weakdep.coefficients import SeriesSummary, ThetaTable, summarize_chain
 from weakdep.experiments import ExperimentConfig, run_degenerate_suite
 
@@ -22,34 +21,37 @@ from _oracles import lattice_constants_loop, srw_max_tail_dp, srw_max_tail_refle
 # bound arithmetic
 # ---------------------------------------------------------------------------
 
+def summary_of(sigma2, theta1, theta2, weighted_x):
+    return SeriesSummary(theta1=theta1, theta2=theta2, weighted=lambda x: weighted_x,
+                         sigma2=sigma2)
+
+
 def test_rhs_worked_example():
-    pars = FukNagaevParams(n=1000, x=200.0, sigma2=1.0, theta1=1.0, theta2=1.0,
-                           weighted_x=0.0)
+    summ = summary_of(sigma2=1.0, theta1=1.0, theta2=1.0, weighted_x=0.0)
     gauss = 0.025 ** 4 * math.exp(-2.5)
     poly = 1000 / 200.0 ** 4
-    assert sum(bound_terms(pars)) == pytest.approx(gauss + poly, rel=1e-12)
-    assert sum(bound_terms(pars)) == pytest.approx(6.57e-7, rel=1e-2)
+    terms = [float(col[0]) for col in bound_terms(summ, [(1000, 200.0)])]
+    assert sum(terms) == pytest.approx(gauss + poly, rel=1e-12)
+    assert sum(terms) == pytest.approx(6.57e-7, rel=1e-2)
 
 
 def test_rhs_indicator_suppresses_gaussian_term():
-    pars = FukNagaevParams(n=500, x=50.0, sigma2=0.0, theta1=2.0, theta2=3.0,
-                           weighted_x=4.0)
-    gauss, poly = bound_terms(pars)
+    summ = summary_of(sigma2=0.0, theta1=2.0, theta2=3.0, weighted_x=4.0)
+    (gauss,), (poly,) = bound_terms(summ, [(500, 50.0)])
     assert gauss == 0.0
     assert 7.0 * gauss + 2.0 * poly == pytest.approx(
         2.0 * 500 / 50.0 ** 4 * (6.0 + 4.0), rel=1e-12)
 
 
 def test_params_validation():
+    summ = summary_of(sigma2=1.0, theta1=1.0, theta2=1.0, weighted_x=0.0)
     with pytest.raises(ValueError):
-        FukNagaevParams(n=0, x=1.0, sigma2=1.0, theta1=1.0, theta2=1.0,
-                        weighted_x=0.0)
+        bound_terms(summ, [(0, 1.0)])
     with pytest.raises(ValueError, match="divergent"):
-        FukNagaevParams(n=10, x=1.0, sigma2=1.0, theta1=1.0, theta2=math.inf,
-                        weighted_x=0.0)
+        bound_terms(summary_of(sigma2=1.0, theta1=1.0, theta2=math.inf, weighted_x=0.0),
+                    [(10, 1.0)])
     with pytest.raises(ValueError):
-        FukNagaevParams(n=10, x=-1.0, sigma2=1.0, theta1=1.0, theta2=1.0,
-                        weighted_x=0.0)
+        bound_terms(summ, [(10, -1.0)])
 
 
 def test_polynomial_regime_slope():
@@ -60,8 +62,8 @@ def test_polynomial_regime_slope():
     summ = series_summary(table, sigma2=3.0)
     n = 80_000
     xs = np.geomspace(2.0 * math.sqrt(n), n / 2.0, 25)
-    rhs = [sum(bound_terms(params_from_summary(summ, n, float(x))))
-           for x in xs]
+    gauss, poly = bound_terms(summ, [(n, float(x)) for x in xs])
+    rhs = gauss + poly
     decade = xs >= xs[-1] / 10.0
     slope = np.polyfit(np.log(xs[decade]), np.log(np.asarray(rhs)[decade]), 1)[0]
     assert -4.2 <= slope <= -3.8
@@ -170,7 +172,7 @@ def test_fit_constants_holdout_transfer(flip_summary):
     hold = tail_grid([128, 256], 3, chain.sup_norm, holdout=True)
     assert not set(train) & set(hold)
     fit = fit_constants(chain, train, 5000, seed=13, summary=summ)
-    ok, rows = validate_constants(chain, fit, hold, 5000, seed=14, summary=summ)
+    ok, rows = validate_constants(chain, fit.c1, fit.c2, hold, 5000, seed=14, summary=summ)
     assert ok is True
     assert len(rows) == len(hold)
 
@@ -180,7 +182,7 @@ def test_fit_and_validate_rows_match_fresh_simulation(flip_summary):
     train = tail_grid([64, 128], 3, chain.sup_norm)
     hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
     fit = fit_constants(chain, train, 1000, seed=41, summary=summ)
-    _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ)
+    _, rows = validate_constants(chain, fit.c1, fit.c2, hold, 1000, seed=42, summary=summ)
     for grid, got, seed in ((train, fit.rows, 41), (hold, rows, 42)):
         assert len(got) == len(grid)
         for (n, x), row in zip(grid, got):
@@ -205,7 +207,7 @@ def test_one_simulation_per_distinct_n(monkeypatch, flip_summary):
     assert calls == [64, 128]
     calls.clear()
     hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
-    validate_constants(chain, fit, hold, 1000, seed=2, summary=summ)
+    validate_constants(chain, fit.c1, fit.c2, hold, 1000, seed=2, summary=summ)
     assert calls == [64, 128]
     calls.clear()
     cob = make_coboundary(chain, [1.0, -1.0])
@@ -231,9 +233,9 @@ def test_fit_and_check_rhs_is_the_bound_form(flip_summary):
     fit = fit_constants(chain, tail_grid([64, 128], 3, chain.sup_norm), 1000,
                         seed=41, summary=summ)
     hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
-    _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ)
+    _, rows = validate_constants(chain, fit.c1, fit.c2, hold, 1000, seed=42, summary=summ)
     for row in fit.rows + rows:
-        gauss, poly = bound_terms(params_from_summary(summ, row["n"], row["x"]))
+        (gauss,), (poly,) = bound_terms(summ, [(row["n"], row["x"])])
         assert row["rhs"] == fit.c1 * gauss + fit.c2 * poly
 
 
@@ -242,18 +244,22 @@ def test_check_compares_rhs_with_the_upper_limit(flip_summary):
     # the check reads the upper confidence limit, not the point estimate.
     chain, summ = flip_summary
     hold = tail_grid([64, 128], 3, chain.sup_norm, holdout=True)
-    fit = ConstantsFit(c1=1.0, c2=1.0)
-    _, rows = validate_constants(chain, fit, hold, 1000, seed=42, summary=summ)
+    _, rows = validate_constants(chain, 1.0, 1.0, hold, 1000, seed=42, summary=summ)
     i = max(range(len(rows)), key=lambda j: rows[j]["p_hat"])
     factor = 0.5 * (rows[i]["p_hat"] + rows[i]["ci_high"]) / rows[i]["rhs"]
-    scaled = ConstantsFit(c1=factor * fit.c1, c2=factor * fit.c2)
-    ok, rows = validate_constants(chain, scaled, hold, 1000, seed=42, summary=summ)
+    ok, rows = validate_constants(chain, factor, factor, hold, 1000, seed=42, summary=summ)
     assert rows[i]["p_hat"] < rows[i]["rhs"] < rows[i]["ci_high"]
     assert rows[i]["dominates"] is False
     assert ok is False
 
 
-def test_divergent_summary_refused(flip_summary):
+def test_divergent_summary_refused(monkeypatch, flip_summary):
+    # The bound's terms are evaluated before any path is simulated: at the
+    # grid, and for the fit also at the envelope points inside its gaps.
+    def simulate(*args):
+        raise AssertionError("simulated before the summary was refused")
+
+    monkeypatch.setattr(bounds, "path_statistics", simulate)
     chain, _ = flip_summary
     summ = SeriesSummary(theta1=2.0, theta2=math.inf, weighted=lambda x: 1.0,
                          sigma2=3.0)
@@ -261,14 +267,12 @@ def test_divergent_summary_refused(flip_summary):
     with pytest.raises(ValueError, match="divergent"):
         fit_constants(chain, grid, 200, seed=1, summary=summ)
     with pytest.raises(ValueError, match="divergent"):
-        validate_constants(chain, ConstantsFit(c1=1.0, c2=1.0), grid, 200, seed=1,
-                           summary=summ)
-
-
-def test_summary_without_sigma2_refused():
-    summ = series_summary(ThetaTable(values=0.5 ** np.arange(9), rate=0.0))
-    with pytest.raises(ValueError, match="no sigma2"):
-        params_from_summary(summ, 64, 20.0)
+        validate_constants(chain, 1.0, 1.0, grid, 200, seed=1, summary=summ)
+    grid_xs = {x for _, x in grid}
+    envelope_only = SeriesSummary(theta1=2.0, theta2=3.0, sigma2=3.0,
+                                  weighted=lambda x: 1.0 if x in grid_xs else math.inf)
+    with pytest.raises(ValueError, match="divergent"):
+        fit_constants(chain, grid, 200, seed=1, summary=envelope_only)
 
 
 def test_fit_constants_box_failure(monkeypatch, flip_summary):

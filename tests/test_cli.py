@@ -268,6 +268,20 @@ def test_coeffs_refuses_a_huge_budget_at_once(tmp_path):
     (["rates"], {"process": LSV, "n_list": [256, 512],
                  "surrogate": {k: v for k, v in FLIP.items() if k != "transition"}},
      'process config needs a "transition" key'),
+    (["coeffs"], {"process": {**FLIP, "observable": 5}},
+     'config key "observable" must be a list of numbers, not 5'),
+    (["coeffs"], {"process": {**FLIP, "observable": [[1.0], [-1.0]]}},
+     'config key "observable" must be a list of numbers, not [[1.0], [-1.0]]'),
+    (["coeffs"], {"process": {**FLIP, "observable": [True, False]}},
+     'config key "observable" must be a list of numbers, not [true, false]'),
+    (["coeffs"], {"process": {**FLIP, "states": 5}},
+     'config key "states" must be a list of strings, not 5'),
+    (["coeffs"], {"process": {**FLIP, "transition": [[0.75, "0.25"], [0.25, 0.75]]}},
+     'config key "transition" must be a list of lists of numbers, '
+     'not [[0.75, "0.25"], [0.25, 0.75]]'),
+    (["coeffs"], {"process": {**FLIP, "transition": [[True, False], [True, False]]}},
+     'config key "transition" must be a list of lists of numbers, '
+     'not [[true, false], [true, false]]'),
 ], ids=["bound-fit-lsv", "bound-check-lsv", "couple-run-lsv", "couple-run-degenerate",
         "couple-run-n-3000", "couple-run-n-4", "bound-fit-replicates-float",
         "bound-fit-grid-n-float", "rates-replicates-float", "rates-seed-string",
@@ -277,7 +291,9 @@ def test_coeffs_refuses_a_huge_budget_at_once(tmp_path):
         "lsv-burn-in-bool", "lsv-gamma-missing", "lsv-center-missing", "lsv-center-string",
         "lsv-threshold-string", "lsv-gamma-string", "lsv-observable-string",
         "chain-step-missing", "chain-step-bool", "chain-sup-path-bound-string",
-        "surrogate-transition-missing"])
+        "surrogate-transition-missing", "chain-observable-number", "chain-observable-nested",
+        "chain-observable-bool", "chain-states-number", "chain-transition-string-entry",
+        "chain-transition-bool-entries"])
 def test_command_refuses_process(tmp_path, command, doc, message):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),

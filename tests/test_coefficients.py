@@ -290,24 +290,24 @@ def geometric_table(rate=0.5, horizon=10):
 
 def test_series_summary_zero_tail_unit():
     table = ThetaTable(values=np.array([1.0]), rate=0.0)
-    summ = series_summary(table)
+    summ = series_summary(table, sigma2=0.0)
     assert summ.theta1 == 1.0 and summ.theta2 == 1.0
     assert summ.weighted(7.0) == 0.0
 
 
 def test_series_summary_geometric_closed_form():
-    summ = series_summary(geometric_table())
+    summ = series_summary(geometric_table(), sigma2=0.0)
     assert summ.theta1 == pytest.approx(2.0, rel=1e-12)
     assert summ.theta2 == pytest.approx(3.0, rel=1e-12)
 
 
 def test_weighted_at_one_equals_theta2_minus_one():
-    summ = series_summary(geometric_table())
+    summ = series_summary(geometric_table(), sigma2=0.0)
     assert summ.weighted(1.0) == pytest.approx(summ.theta2 - 1.0, rel=1e-12)
 
 
 def test_weighted_matches_numeric_sum():
-    summ = series_summary(geometric_table(rate=0.7, horizon=8))
+    summ = series_summary(geometric_table(rate=0.7, horizon=8), sigma2=0.0)
     ks = np.arange(1, 4000, dtype=float)
     theta = np.where(ks <= 8, 0.7 ** ks, 0.7 ** 8 * 0.7 ** (ks - 8))
     for x in (0.5, 3.0, 12.7, 250.0):
@@ -319,7 +319,7 @@ def test_weighted_matches_numeric_sum():
        st.floats(min_value=0.0, max_value=500.0))
 @settings(max_examples=30)
 def test_weighted_monotone(x1, x2):
-    summ = series_summary(geometric_table(rate=0.6, horizon=6))
+    summ = series_summary(geometric_table(rate=0.6, horizon=6), sigma2=0.0)
     lo, hi = sorted((x1, x2))
     assert summ.weighted(lo) <= summ.weighted(hi) + 1e-12
 
@@ -401,7 +401,7 @@ def test_degenerate_moment_bound_geometric():
 
 def test_degenerate_moment_bound_q1_ignores_weight():
     table = geometric_table(rate=0.3, horizon=12)
-    summ = series_summary(table)
+    summ = series_summary(table, sigma2=0.0)
     direct = 2.0 * (1.0 + (summ.theta1 - 1.0))   # 2M * sum_{k>=0} theta(k)
     assert degenerate_moment_bound(1.0, 1, table) == pytest.approx(
         direct, rel=1e-10)

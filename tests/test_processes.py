@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from weakdep.processes import (LsvObservable, LsvProcess,
                                sample_lsv_ensemble)
 
 from _oracles import (chain_states_loop, exact_stationary_elimination, lsv_map_expr,
-                      lsv_running_stats_per_n, normalize_process, random_lattice_chain)
+                      lsv_running_stats_per_n, normalize_process, random_lattice_chain,
+                      symmetrize_loop)
 
 
 def test_flip_chain_stationary_and_sup_norm():
@@ -386,6 +388,22 @@ def test_symmetrize_third_moments_vanish(flip25, three_state, four_state):
             inner = f * (np.linalg.matrix_power(p, k - j) @ f)
             val = float(pi @ (f * (np.linalg.matrix_power(p, j - i) @ inner)))
             assert abs(val) < 1e-10
+
+
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_symmetrize_arrays_match_pair_loop(n_states, seed):
+    # The transition and observable that symmetrize hands to the builder are
+    # the pair loop's, bit for bit (random chains with zero entries; the
+    # builder is not run, so their stationary law does not matter).
+    chain = random_lattice_chain(np.random.default_rng(seed), n_states)
+    with mock.patch.object(processes, "build_finite_chain") as build:
+        symmetrize(chain)
+    (t, obs, step), kw = build.call_args
+    t_ref, obs_ref, labels = symmetrize_loop(chain)
+    for got, ref in ((t, t_ref), (obs, obs_ref)):
+        assert (got.shape, got.dtype, got.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+    assert step == chain.step and kw == {"states": labels}
 
 
 def test_normalize_process(flip25):
