@@ -13,9 +13,8 @@ from .bounds import (ConstantsFit, TailEstimate,
 from .coupling import (BlockDist, CoupledPath, CouplingSchedule,
                        block_sum_dist, build_coupling, coupling_errors,
                        make_schedule, skorohod_split, w2_conditional)
-from .experiments import (ExperimentConfig, RateEstimate, donsker_wasserstein,
-                          run_degenerate_suite, run_lsv_experiment,
-                          run_rate_experiment)
+from .experiments import (ExperimentConfig, donsker_wasserstein, run_degenerate_suite,
+                          run_lsv_experiment, run_rate_experiment)
 from .reporting import emit_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -180,7 +180,13 @@ def tail_grid(n_values, points_per_n: int, sup_norm: float,
     holdout grid lives strictly inside the trained envelope (fitted constants
     are interpolated, never extrapolated) at log-offset positions that cannot
     collide with training points for any point count (irrational offset).
+    An empty ``n_values`` (the config's ``grid_n``) or a ``points_per_n``
+    below 1 is refused.
     """
+    if len(n_values) == 0:
+        raise ValueError("grid_n must list at least one n")
+    if points_per_n < 1:
+        raise ValueError(f"points_per_n must be at least 1, not {points_per_n}")
     grid = []
     offset = 0.5 * math.sqrt(2.0)
     for n in n_values:

@@ -25,11 +25,11 @@ import click
 from . import bounds as bnd
 from . import coefficients as coef
 from . import coupling as cpl
-from .experiments import REFERENCE_EXPONENT, ExperimentConfig, donsker_wasserstein, \
-    run_degenerate_suite, run_lsv_experiment, run_rate_experiment
+from .experiments import ExperimentConfig, donsker_wasserstein, run_degenerate_suite, \
+    run_lsv_experiment, run_rate_experiment
 from .processes import FiniteChain, LsvProcess, check_type, process_from_config, \
     process_to_config, refuse_unknown_keys, sample_path
-from .reporting import emit_report, write_table_csv
+from .reporting import emit_report, write_table
 from .rng import holdout_seed
 
 
@@ -173,9 +173,9 @@ def _bound_setup(settings, holdout: bool):
     """(process, chain summary, tail grid) of a bound config's settings."""
     process = settings["process"]
     _require_chain(process, "bound check" if holdout else "bound fit")
-    summary = coef.summarize_chain(process, horizon=settings["theta_horizon"])
     grid = bnd.tail_grid(settings["grid_n"], settings["points_per_n"],
                          process.sup_norm, holdout=holdout)
+    summary = coef.summarize_chain(process, horizon=settings["theta_horizon"])
     return process, summary, grid
 
 
@@ -235,7 +235,7 @@ def couple_run(config_path, seed, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     rows = [{"k": k, "s": float(path.s[k]), "t": float(path.t[k])}
             for k in range(n + 1)]
-    write_table_csv(rows, os.path.join(out_dir, "coupled_path.csv"))
+    write_table(rows, os.path.join(out_dir, "coupled_path.csv"))
     per_level = {str(row["level"]): {k: row[k] for k in ("m", "d", "d1", "d2")}
                  for row in errs.per_level}
     _emit(out_dir, settings,
@@ -252,23 +252,13 @@ def couple_run(config_path, seed, out_dir):
 def rates(config_path, seed, out_dir):
     """Coupling-error growth exponent against the 1/p target."""
     settings = _read_config(config_path, "rates", seed)
-    cfg = ExperimentConfig(**settings)
-    if isinstance(cfg.process, LsvProcess):
-        report = run_lsv_experiment(cfg)
-        summary = {"gamma": report.gamma, "target": report.target,
-                   "direct_exponent": report.direct_exponent,
-                   "direct_se": report.direct_se}
-        tables = {"direct": list(report.direct_rows)}
-        if report.surrogate is not None:
-            summary["surrogate"] = report.surrogate.to_dict()
-            tables["surrogate"] = list(report.surrogate.rows)
-        _emit(out_dir, settings, summary, tables)
-        click.echo(f"target={report.target} direct={report.direct_exponent!r}")
-        return
-    report = run_rate_experiment(cfg)
-    _emit(out_dir, settings, report.to_dict(), {"rates": list(report.rows)})
-    click.echo(f"exponent={report.exponent!r} target={report.target} "
-               f"passed={report.passed}")
+    lsv = isinstance(settings["process"], LsvProcess)
+    pipeline = run_lsv_experiment if lsv else run_rate_experiment
+    summary, tables = pipeline(ExperimentConfig(**settings))
+    _emit(out_dir, settings, summary, tables)
+    click.echo(f"target={summary['target']} direct={summary['direct_exponent']!r}" if lsv
+               else f"exponent={summary['exponent']!r} target={summary['target']} "
+                    f"passed={summary['passed']}")
 
 
 @main.command()
@@ -276,11 +266,9 @@ def rates(config_path, seed, out_dir):
 def wasserstein(config_path, seed, out_dir):
     """Quadratic-cost decay of the rescaled partial-sum line."""
     settings = _read_config(config_path, "wasserstein", seed)
-    estimate = donsker_wasserstein(ExperimentConfig(**settings))
-    _emit(out_dir, settings,
-          {**estimate.to_dict(), "reference_exponent": REFERENCE_EXPONENT},
-          {"rates": list(estimate.rows)})
-    click.echo(f"exponent={estimate.exponent!r} passed={estimate.passed}")
+    summary, tables = donsker_wasserstein(ExperimentConfig(**settings))
+    _emit(out_dir, settings, summary, tables)
+    click.echo(f"exponent={summary['exponent']!r} passed={summary['passed']}")
 
 
 @main.command()
@@ -288,15 +276,9 @@ def wasserstein(config_path, seed, out_dir):
 def degenerate(config_path, seed, out_dir):
     """Moment-bound and flat-growth checks for telescoping observables."""
     settings = _read_config(config_path, "degenerate", seed)
-    report = run_degenerate_suite(ExperimentConfig(**settings))
-    _emit(out_dir, settings,
-          {"passed": report.passed, "sigma2": report.sigma2,
-           "moment_bound": report.moment["bound"],
-           "sup_growth": report.sup_growth.to_dict(),
-           "zero_beyond": report.zero_beyond,
-           "series_decays": report.series["decays"]},
-          {"moments": report.moment["rows"], "series": report.series["rows"]})
-    click.echo(f"passed={report.passed}")
+    summary, tables = run_degenerate_suite(ExperimentConfig(**settings))
+    _emit(out_dir, settings, summary, tables)
+    click.echo(f"passed={summary['passed']}")
 
 
 @main.command("export-path")
@@ -309,7 +291,7 @@ def export_path(config_path, seed, out_dir, n):
     os.makedirs(out_dir, exist_ok=True)
     rows = [{"index": k, "value": float(path.values[k - 1]),
              "partial_sum": float(path.partial_sums[k])} for k in range(1, n + 1)]
-    write_table_csv(rows, os.path.join(out_dir, "path.csv"))
+    write_table(rows, os.path.join(out_dir, "path.csv"))
     click.echo(f"wrote path.csv with n={n}")
 
 

@@ -3,9 +3,12 @@
 Every pipeline is a pure function of (config, seed): replicates fan out over
 counter-based substreams, statistics are reduced in replicate order, and rate
 checks are slope regressions against declared targets with declared
-tolerances.  The three coupled rates (``rates`` on a chain, ``wasserstein``
-and an LSV surrogate) run one pipeline, :func:`_coupled_rate`, behind one set
-of checks, :func:`_require_coupled`.  Logarithmic factors in the predicted
+tolerances.  Each public pipeline returns ``(summary, tables)``: the summary
+dict and the ``{name: rows}`` tables of its report, exactly as the CLI writes
+them (``cli._emit``), so a report's keys are defined here alone.  The three
+coupled rates (``rates`` on a chain, ``wasserstein`` and an LSV surrogate)
+run one pipeline, :func:`_coupled_rate`, behind one set of checks,
+:func:`_require_coupled`.  Logarithmic factors in the predicted
 rates are nearly collinear with the power term at desk scale, so they are
 folded into the tolerances rather than fitted.
 """
@@ -57,24 +60,6 @@ class ExperimentConfig:
             raise ValueError("n_list must be nonempty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("n_list must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    """Fitted log-log slope against a declared target exponent."""
-
-    exponent: float
-    exponent_se: float
-    target: float
-    tolerance: float
-    passed: bool | None
-    degenerate: bool = False
-    rows: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {"exponent": self.exponent, "exponent_se": self.exponent_se,
-                "target": self.target, "tolerance": self.tolerance,
-                "passed": self.passed, "degenerate": self.degenerate}
 
 
 def fit_power_law(ns, values, y_vars=None):
@@ -142,26 +127,30 @@ def _l2_with_variance(errs: np.ndarray) -> tuple[float, float]:
     return math.sqrt(mean_sq), var_mean * d * d
 
 
-def _rate_estimate(ns, rms, target, tolerance, y_vars=None) -> RateEstimate:
-    rows = tuple({"n": int(n), "error_l2": float(level)} for n, level in zip(ns, rms))
+def _rate_estimate(ns, rms, target, tolerance, y_vars=None) -> tuple[dict, list]:
+    """(summary, rows) of a fitted log-log slope against a declared target:
+    ``exponent``, ``exponent_se``, ``target``, ``tolerance``, ``passed`` and
+    ``degenerate``, and one ``n, error_l2`` row per n.  Levels that vanish
+    leave no slope to fit: ``degenerate`` is true and ``passed`` None."""
+    rows = [{"n": int(n), "error_l2": float(level)} for n, level in zip(ns, rms)]
     arr = np.asarray(rms, dtype=float)
     if np.any(arr <= 0.0) or float(np.max(arr)) < 1e-9:
-        return RateEstimate(exponent=0.0, exponent_se=math.inf, target=target,
-                            tolerance=tolerance, passed=None, degenerate=True,
-                            rows=rows)
-    slope, se = fit_power_law(ns, rms, y_vars)
-    passed = abs(slope - target) <= tolerance
-    return RateEstimate(exponent=slope, exponent_se=se, target=target,
-                        tolerance=tolerance, passed=passed, rows=rows)
+        slope, se, passed, degenerate = 0.0, math.inf, None, True
+    else:
+        slope, se = fit_power_law(ns, rms, y_vars)
+        passed, degenerate = abs(slope - target) <= tolerance, False
+    return {"exponent": slope, "exponent_se": se, "target": target,
+            "tolerance": tolerance, "passed": passed, "degenerate": degenerate}, rows
 
 
 def _coupled_rate(chain: FiniteChain, config: ExperimentConfig, target: float,
-                  rescale: bool = False) -> RateEstimate:
+                  rescale: bool = False) -> tuple[dict, list]:
     """The one coupled pipeline: per n, the L2 level over replicates of
     sup_k |S_k - T_k| (over sqrt(n) with ``rescale``: the uniform distance of
     the rescaled lines, both linear between breakpoints k/n) and the Monte
-    Carlo variance of its log; then the slope fit against ``target``.  sigma2
-    is certified once per ladder."""
+    Carlo variance of its log; then the slope fit against ``target``, returned
+    as :func:`_rate_estimate` returns it.  sigma2 is certified once per
+    ladder."""
     sigma2 = sigma2_exact(chain)
     levels, y_vars = [], []
     for n in config.n_list:
@@ -174,30 +163,20 @@ def _coupled_rate(chain: FiniteChain, config: ExperimentConfig, target: float,
     return _rate_estimate(config.n_list, levels, target, config.tolerance, y_vars=y_vars)
 
 
-def run_rate_experiment(config: ExperimentConfig) -> RateEstimate:
+def run_rate_experiment(config: ExperimentConfig) -> tuple[dict, dict]:
     """L2 coupling-error growth exponent against the 1/p target.
 
     For each n the L2 norm of sup_k |S_k - T_k| is the root mean square over
     replicates; the fitted log-log slope is compared with 1/p at the
-    configured tolerance.
+    configured tolerance.  Returns the summary of :func:`_rate_estimate`
+    and the table ``rates`` of its rows.
     """
     _require_coupled(config.process, config)
-    return _coupled_rate(config.process, config, 1.0 / config.p)
+    summary, rows = _coupled_rate(config.process, config, 1.0 / config.p)
+    return summary, {"rates": rows}
 
 
-@dataclass(frozen=True)
-class LsvReport:
-    """Direct orbit statistics plus, when configured, the surrogate coupled rate."""
-
-    gamma: float
-    target: float
-    direct_exponent: float
-    direct_se: float
-    direct_rows: tuple
-    surrogate: RateEstimate | None
-
-
-def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
+def run_lsv_experiment(config: ExperimentConfig) -> tuple[dict, dict]:
     """Intermittent-map rate experiment.
 
     Orbits admit no exact conditional block law, so the direct measurement is
@@ -206,6 +185,11 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
     a schedule with p = min(4, 1/gamma) and compared with the
     max(gamma, 1/4) target.  Every check, the surrogate's included, runs
     before any orbit is stepped.
+
+    Returns the summary ``gamma``, ``target``, ``direct_exponent`` and
+    ``direct_se`` and the table ``direct`` of ``n, sup_l2`` rows; with a
+    surrogate, also its :func:`_rate_estimate` summary under ``surrogate``
+    and its rows as the table ``surrogate``.
     """
     process = config.process
     if not isinstance(process, LsvProcess):
@@ -228,48 +212,45 @@ def run_lsv_experiment(config: ExperimentConfig) -> LsvReport:
         sup_l2.append(level)
         rows.append({"n": int(n), "sup_l2": level})
     direct_slope, direct_se = fit_power_law(config.n_list, sup_l2)
-
-    surrogate_estimate = None
+    summary = {"gamma": gamma, "target": target, "direct_exponent": direct_slope,
+               "direct_se": direct_se}
+    tables = {"direct": rows}
     if config.surrogate is not None:
-        surrogate_estimate = _coupled_rate(config.surrogate, coupled, target)
-    return LsvReport(gamma=gamma, target=target, direct_exponent=direct_slope,
-                     direct_se=direct_se, direct_rows=tuple(rows),
-                     surrogate=surrogate_estimate)
+        surrogate = _coupled_rate(config.surrogate, coupled, target)
+        summary["surrogate"], tables["surrogate"] = surrogate
+    return summary, tables
 
 
-def donsker_wasserstein(config: ExperimentConfig) -> RateEstimate:
+def donsker_wasserstein(config: ExperimentConfig) -> tuple[dict, dict]:
     """Decay of the quadratic-cost upper bound ||sup_t |B_n - sigma B|||_2.
 
-    Target exponent -1/4.  Each row also carries ``reference_n16``, a
-    reference n^REFERENCE_EXPONENT line (the Skorohod-embedding rate n^{-1/6}
-    at fourth moments, for visual comparison only) anchored at the smallest n.
+    Target exponent -1/4.  Returns the summary of :func:`_rate_estimate`
+    plus ``reference_exponent`` and the table ``rates``, whose rows also
+    carry ``reference_n16``: a reference n^REFERENCE_EXPONENT line (the
+    Skorohod-embedding rate n^{-1/6} at fourth moments, for visual comparison
+    only) anchored at the smallest n.
     """
     _require_coupled(config.process, config)
-    estimate = _coupled_rate(config.process, config, -0.25, rescale=True)
-    first = estimate.rows[0]
+    summary, rows = _coupled_rate(config.process, config, -0.25, rescale=True)
+    first = rows[0]
     anchor_c = first["error_l2"] / first["n"] ** REFERENCE_EXPONENT
-    rows = tuple({**row, "reference_n16": anchor_c * row["n"] ** REFERENCE_EXPONENT}
-                 for row in estimate.rows)
-    return replace(estimate, rows=rows)
+    rows = [{**row, "reference_n16": anchor_c * row["n"] ** REFERENCE_EXPONENT}
+            for row in rows]
+    return {**summary, "reference_exponent": REFERENCE_EXPONENT}, {"rates": rows}
 
 
-@dataclass(frozen=True)
-class DegenerateReport:
-    sigma2: float
-    moment: dict
-    series: dict
-    sup_growth: RateEstimate
-    zero_beyond: int | None
-    passed: bool
-
-
-def run_degenerate_suite(config: ExperimentConfig) -> DegenerateReport:
+def run_degenerate_suite(config: ExperimentConfig) -> tuple[dict, dict]:
     """Moment-bound, flat-growth and series checks for telescoping observables.
 
     Requires a verified sigma2 = 0 process; aggregates the moment bound check
     (E|S_n|^q below the analytic bound at every n), the ||S_n^*||_2 growth
     exponent (target 0, pathwise-bounded sums), and the degenerate series
     summands, which must vanish once eps n^alpha exceeds the pathwise bound.
+
+    Returns the summary ``passed``, ``sigma2``, ``moment_bound``,
+    ``sup_growth`` (a :func:`_rate_estimate` summary), ``zero_beyond`` (the
+    first n past the pathwise bound, or None) and ``series_decays``, and the
+    tables ``moments`` and ``series``.
     """
     chain = config.process
     if not isinstance(chain, FiniteChain):
@@ -284,7 +265,7 @@ def run_degenerate_suite(config: ExperimentConfig) -> DegenerateReport:
                                       config.series_epsilon, statistic="absmax")
     ns = [row["n"] for row in moment["rows"]]
     sups = [row["sup_norm_r"] for row in moment["rows"]]
-    sup_growth = _rate_estimate(ns, sups, target=0.0, tolerance=0.05)
+    sup_growth, _ = _rate_estimate(ns, sups, target=0.0, tolerance=0.05)
 
     # Telescoping constructions carry their pathwise bound on max_k |S_k|;
     # series summands must be exactly zero once eps n^alpha exceeds it.
@@ -298,7 +279,8 @@ def run_degenerate_suite(config: ExperimentConfig) -> DegenerateReport:
                     zero_beyond = row["n"]
                 ok_zero = ok_zero and row["p_hat"] == 0.0
     passed = (all(r["below_bound"] for r in moment["rows"])
-              and sup_growth.passed is True and ok_zero)
-    return DegenerateReport(sigma2=moment["sigma2"], moment=moment, series=series,
-                            sup_growth=sup_growth, zero_beyond=zero_beyond,
-                            passed=passed)
+              and sup_growth["passed"] is True and ok_zero)
+    return ({"passed": passed, "sigma2": moment["sigma2"], "moment_bound": moment["bound"],
+             "sup_growth": sup_growth, "zero_beyond": zero_beyond,
+             "series_decays": series["decays"]},
+            {"moments": moment["rows"], "series": series["rows"]})

@@ -138,12 +138,15 @@ def build_finite_chain(transition, observable_raw, step: float, states=None) -> 
     Raises
     ------
     ValueError
-        An empty or non-stochastic matrix, an observable off the lattice or
-        not of one value per state, or a fixed space of dimension != 1.
+        An empty, non-square (ragged included) or non-stochastic matrix, an
+        observable off the lattice or not of one value per state, or a fixed
+        space of dimension != 1.
     """
-    t = np.asarray(transition, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
+    # Row by row, before numpy sees it: a ragged list of rows is refused here too.
+    size = len(transition) if hasattr(transition, "__len__") else 0
+    if size == 0 or any(np.shape(row) != (size,) for row in transition):
         raise ValueError("transition must be a nonempty square matrix")
+    t = np.asarray(transition, dtype=float)
     if np.any(t < 0):
         raise ValueError("transition entries must be nonnegative")
     row_sums = t.sum(axis=1)

@@ -29,25 +29,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_table_csv(rows: list[dict], path: str) -> None:
+def write_table(rows: list[dict], path: str, sep: str = ",", header_prefix: str = "",
+                empty: str = "") -> None:
+    """The one table writer: a header of the first row's keys, then one line
+    per row, cells joined by `sep` and an empty cell written as `empty`.  The
+    defaults write CSV; see :data:`TABLE_FORMATS`."""
     if not rows:
         raise ValueError("cannot write an empty table")
     cols = list(rows[0].keys())
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(header_prefix + sep.join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(_format_cell(row.get(c)) for c in cols) + "\n")
+            fh.write(sep.join(_format_cell(row.get(c)) or empty for c in cols) + "\n")
 
 
-def write_table_dat(rows: list[dict], path: str) -> None:
-    """Whitespace-separated table with a commented header, for gnuplot."""
-    if not rows:
-        raise ValueError("cannot write an empty table")
-    cols = list(rows[0].keys())
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(cols) + "\n")
-        for row in rows:
-            fh.write(" ".join(_format_cell(row.get(c)) or "nan" for c in cols) + "\n")
+# File extension -> (separator, header prefix, empty cell) of a report table:
+# CSV, and a gnuplot-ready .dat with a commented header and nan for no value.
+TABLE_FORMATS = {"csv": (",", "", ""), "dat": (" ", "# ", "nan")}
 
 
 def emit_report(results: dict, out_dir: str) -> list[str]:
@@ -71,9 +69,8 @@ def emit_report(results: dict, out_dir: str) -> list[str]:
         fh.write("\n")
     written.append(summary_path)
     for name, rows in tables.items():
-        csv_path = os.path.join(out_dir, f"{name}.csv")
-        dat_path = os.path.join(out_dir, f"{name}.dat")
-        write_table_csv(rows, csv_path)
-        write_table_dat(rows, dat_path)
-        written.extend([csv_path, dat_path])
+        for ext, table_format in TABLE_FORMATS.items():
+            path = os.path.join(out_dir, f"{name}.{ext}")
+            write_table(rows, path, *table_format)
+            written.append(path)
     return written

@@ -178,23 +178,23 @@ def test_criterion_07_coupling_rate(chain):
     t0 = time.perf_counter()
     cfg = ExperimentConfig(process=chain, n_list=[2 ** k for k in range(10, 18)],
                            replicates=64, seed=SEED, p=4.0, tolerance=0.08)
-    report = run_rate_experiment(cfg)
-    ok = report.passed is True
+    report, _ = run_rate_experiment(cfg)
+    ok = report["passed"] is True
     _report(7, ok, t0, 1800.0,
-            f"L2 coupling-error exponent {report.exponent:.4f} "
-            f"(target 0.25 +- 0.08, se {report.exponent_se:.3f})")
+            f"L2 coupling-error exponent {report['exponent']:.4f} "
+            f"(target 0.25 +- 0.08, se {report['exponent_se']:.3f})")
 
 
 def test_criterion_08_wasserstein_rate(chain):
     t0 = time.perf_counter()
     cfg = ExperimentConfig(process=chain, n_list=[2 ** k for k in range(10, 18)],
                            replicates=64, seed=SEED + 4, p=4.0, tolerance=0.10)
-    est = donsker_wasserstein(cfg)
-    ok = est.passed is True
-    ok &= all("reference_n16" in row for row in est.rows)
+    est, tables = donsker_wasserstein(cfg)
+    ok = est["passed"] is True
+    ok &= all("reference_n16" in row for row in tables["rates"])
     ok &= REFERENCE_EXPONENT == pytest.approx(-1.0 / 6.0)
     _report(8, ok, t0, 1800.0,
-            f"uniform-distance decay exponent {est.exponent:.4f} "
+            f"uniform-distance decay exponent {est['exponent']:.4f} "
             f"(target -0.25 +- 0.10); n^(-1/6) reference line attached")
 
 
@@ -204,16 +204,16 @@ def test_criterion_09_degenerate_suite(chain):
     cfg = ExperimentConfig(process=cob, n_list=[100, 1000, 10000],
                            replicates=3000, seed=SEED + 5, alpha=0.5,
                            series_epsilon=1.0, moment_q=2.0)
-    report = run_degenerate_suite(cfg)
-    ok = report.passed
-    ok &= all(r["below_bound"] for r in report.moment["rows"])
-    ok &= report.sup_growth.passed is True
-    ok &= abs(report.sup_growth.exponent) <= 0.05
-    ok &= report.zero_beyond is not None
+    report, tables = run_degenerate_suite(cfg)
+    ok = report["passed"]
+    ok &= all(r["below_bound"] for r in tables["moments"])
+    ok &= report["sup_growth"]["passed"] is True
+    ok &= abs(report["sup_growth"]["exponent"]) <= 0.05
+    ok &= report["zero_beyond"] is not None
     _report(9, ok, t0, 300.0,
-            f"moments below bound {report.moment['bound']:.3g} at all n; "
-            f"max|S| growth exponent {report.sup_growth.exponent:.4f} "
-            f"(|.| <= 0.05); summands vanish beyond n={report.zero_beyond}")
+            f"moments below bound {report['moment_bound']:.3g} at all n; "
+            f"max|S| growth exponent {report['sup_growth']['exponent']:.4f} "
+            f"(|.| <= 0.05); summands vanish beyond n={report['zero_beyond']}")
 
 
 def test_criterion_10_determinism(tmp_path, chain):

@@ -1,4 +1,5 @@
 import ast
+import csv
 import dataclasses
 import importlib.util
 import inspect
@@ -18,6 +19,8 @@ from weakdep import coefficients, coupling, flip_chain, make_coboundary
 from weakdep.bounds import MIN_TAIL_REPLICATES
 from weakdep.cli import CONFIG_DEFAULTS, _read_config, main
 from weakdep.coefficients import certified_theta_table
+from weakdep.experiments import (ExperimentConfig, donsker_wasserstein, run_degenerate_suite,
+                                 run_lsv_experiment, run_rate_experiment)
 from weakdep.processes import (LsvProcess, process_from_config, process_to_config,
                                sample_path)
 from weakdep.rng import holdout_seed
@@ -282,6 +285,15 @@ def test_coeffs_refuses_a_huge_budget_at_once(tmp_path):
     (["coeffs"], {"process": {**FLIP, "transition": [[True, False], [True, False]]}},
      'config key "transition" must be a list of lists of numbers, '
      'not [[true, false], [true, false]]'),
+    (["coeffs"], {"process": {**FLIP, "transition": [[0.75, 0.25], [1.0]]}},
+     "transition must be a nonempty square matrix"),
+    (["bound", "fit"], {"process": FLIP, "grid_n": []}, "grid_n must list at least one n"),
+    (["bound", "fit"], {"process": FLIP, "grid_n": [64], "points_per_n": 0},
+     "points_per_n must be at least 1, not 0"),
+    (["bound", "fit"], {"process": FLIP, "grid_n": [64], "points_per_n": -1},
+     "points_per_n must be at least 1, not -1"),
+    (["bound", "check", "--c1", "1.0", "--c2", "1.0"], {"process": FLIP, "grid_n": []},
+     "grid_n must list at least one n"),
 ], ids=["bound-fit-lsv", "bound-check-lsv", "couple-run-lsv", "couple-run-degenerate",
         "couple-run-n-3000", "couple-run-n-4", "bound-fit-replicates-float",
         "bound-fit-grid-n-float", "rates-replicates-float", "rates-seed-string",
@@ -293,7 +305,9 @@ def test_coeffs_refuses_a_huge_budget_at_once(tmp_path):
         "chain-step-missing", "chain-step-bool", "chain-sup-path-bound-string",
         "surrogate-transition-missing", "chain-observable-number", "chain-observable-nested",
         "chain-observable-bool", "chain-states-number", "chain-transition-string-entry",
-        "chain-transition-bool-entries"])
+        "chain-transition-bool-entries", "chain-transition-ragged", "bound-fit-grid-n-empty",
+        "bound-fit-points-per-n-0", "bound-fit-points-per-n-negative",
+        "bound-check-grid-n-empty"])
 def test_command_refuses_process(tmp_path, command, doc, message):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, command + ["--config", write_config(tmp_path, doc),
@@ -331,6 +345,33 @@ def test_command_certifies_its_chain_once(tmp_path, monkeypatch, command, doc):
                                                  "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     assert calls == {"certified_contraction": 1, "sigma2_certified": 1}
+
+
+@pytest.mark.parametrize("command, doc, pipeline", [
+    ("rates", {"process": FLIP, **SMALL_LADDER}, run_rate_experiment),
+    ("rates", {"process": LSV, "surrogate": FLIP, **SMALL_LADDER}, run_lsv_experiment),
+    ("wasserstein", {"process": FLIP, **SMALL_LADDER}, donsker_wasserstein),
+    ("degenerate", {"process": COBOUNDARY, "n_list": [64, 256], "replicates": 100,
+                    "alpha": 0.5}, run_degenerate_suite),
+], ids=["rates-chain", "rates-lsv-surrogate", "wasserstein", "degenerate"])
+def test_command_writes_the_pipeline_report(tmp_path, command, doc, pipeline):
+    # The command adds nothing to what its pipeline returns: the summary
+    # after a JSON round trip, and every table cell for cell.
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    summary, tables = pipeline(ExperimentConfig(**_read_config(cfg, command)))
+    written = json.loads((out / "summary.json").read_text())["summary"]
+    assert written == json.loads(json.dumps(summary))
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        ["summary.json", *(f"{name}.{ext}" for name in tables for ext in ("csv", "dat"))])
+    for name, rows in tables.items():
+        with open(out / f"{name}.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == list(rows[0])
+            assert [{key: float(cell) for key, cell in row.items()} for row in reader] \
+                == [{key: float(value) for key, value in row.items()} for row in rows]
 
 
 @pytest.mark.parametrize("command, doc, unread", [

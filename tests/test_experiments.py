@@ -66,21 +66,21 @@ def test_shipped_experiment_configs_load(name):
 
 
 def test_rate_experiment_consistency(flip25):
-    report = run_rate_experiment(small_config(flip25))
-    assert report.target == 0.25
-    assert report.passed == (abs(report.exponent - report.target)
-                             <= report.tolerance)
-    assert len(report.rows) == 4
-    assert all(row["error_l2"] > 0 for row in report.rows)
+    report, tables = run_rate_experiment(small_config(flip25))
+    assert report["target"] == 0.25
+    assert report["passed"] == (abs(report["exponent"] - report["target"])
+                                <= report["tolerance"])
+    assert len(tables["rates"]) == 4
+    assert all(row["error_l2"] > 0 for row in tables["rates"])
 
 
 def test_rate_experiment_identity_coupling_flagged():
     # An identity coupling has zero error at every n: no slope to fit.
-    report = experiments._rate_estimate([256, 512, 1024], [0.0, 0.0, 0.0],
-                                        target=0.25, tolerance=0.08)
-    assert report.degenerate
-    assert report.passed is None
-    assert [row["n"] for row in report.rows] == [256, 512, 1024]
+    report, rows = experiments._rate_estimate([256, 512, 1024], [0.0, 0.0, 0.0],
+                                              target=0.25, tolerance=0.08)
+    assert report["degenerate"]
+    assert report["passed"] is None
+    assert [row["n"] for row in rows] == [256, 512, 1024]
 
 
 def test_rate_experiment_rejects_degenerate(flip25):
@@ -90,11 +90,11 @@ def test_rate_experiment_rejects_degenerate(flip25):
 
 
 def test_rate_experiment_se_shrinks_with_replicates(flip25):
-    lo = run_rate_experiment(small_config(flip25, replicates=16,
-                                          n_list=[2 ** k for k in range(8, 14)]))
-    hi = run_rate_experiment(small_config(flip25, replicates=32,
-                                          n_list=[2 ** k for k in range(8, 14)]))
-    ratio = lo.exponent_se / hi.exponent_se
+    lo, _ = run_rate_experiment(small_config(flip25, replicates=16,
+                                             n_list=[2 ** k for k in range(8, 14)]))
+    hi, _ = run_rate_experiment(small_config(flip25, replicates=32,
+                                             n_list=[2 ** k for k in range(8, 14)]))
+    ratio = lo["exponent_se"] / hi["exponent_se"]
     assert math.sqrt(2.0) * 0.75 <= ratio <= math.sqrt(2.0) * 1.25
 
 
@@ -102,10 +102,10 @@ def test_lsv_target_rule():
     proc = LsvProcess(gamma=0.2, observable=LsvObservable("identity", 0.5),
                       burn_in=100)
     cfg = ExperimentConfig(process=proc, n_list=[256, 512], replicates=16, seed=1)
-    report = run_lsv_experiment(cfg)
-    assert report.target == 0.25
-    assert report.surrogate is None
-    assert report.direct_rows
+    report, tables = run_lsv_experiment(cfg)
+    assert report["target"] == 0.25
+    assert "surrogate" not in report
+    assert tables["direct"]
 
 
 def test_lsv_direct_rows_match_full_orbit_matrix(monkeypatch):
@@ -115,8 +115,8 @@ def test_lsv_direct_rows_match_full_orbit_matrix(monkeypatch):
                          burn_in=50)
     cfg = ExperimentConfig(process=process, n_list=[20, 40, 80], replicates=16,
                            seed=5)
-    report = run_lsv_experiment(cfg)
-    for row in report.direct_rows:
+    _, tables = run_lsv_experiment(cfg)
+    for row in tables["direct"]:
         vals = sample_lsv_ensemble(process, row["n"], 5, range(16))
         sums = np.cumsum(vals, axis=1)
         smax = np.max(np.abs(sums), axis=1)
@@ -185,10 +185,10 @@ def test_lsv_surrogate_coupled_rate():
     cfg = ExperimentConfig(process=proc, surrogate=flip_chain(0.25),
                            n_list=[2 ** k for k in range(11, 18)],
                            replicates=32, seed=7, tolerance=0.1)
-    report = run_lsv_experiment(cfg)
-    assert report.target == pytest.approx(0.375)
-    assert report.surrogate is not None
-    assert report.surrogate.passed
+    report, _ = run_lsv_experiment(cfg)
+    assert report["target"] == pytest.approx(0.375)
+    assert "surrogate" in report
+    assert report["surrogate"]["passed"]
 
 
 @pytest.mark.slow
@@ -228,12 +228,12 @@ def test_donsker_rescaling_identity(flip25):
 
 def test_donsker_reference_line(flip25):
     cfg = small_config(flip25)
-    est = donsker_wasserstein(cfg)
+    est, tables = donsker_wasserstein(cfg)
     assert experiments.REFERENCE_EXPONENT == pytest.approx(-1.0 / 6.0)
-    assert est.target == -0.25
-    first = est.rows[0]
+    assert est["target"] == -0.25
+    first = tables["rates"][0]
     assert first["reference_n16"] == pytest.approx(first["error_l2"], rel=1e-12)
-    last = est.rows[-1]
+    last = tables["rates"][-1]
     assert last["reference_n16"] == pytest.approx(
         first["error_l2"] * (last["n"] / first["n"]) ** (-1.0 / 6.0), rel=1e-12)
 
@@ -243,12 +243,12 @@ def test_degenerate_suite_passes(flip25):
     cfg = ExperimentConfig(process=cob, n_list=[100, 1000, 10000],
                            replicates=1500, seed=5, alpha=0.5,
                            series_epsilon=1.0)
-    report = run_degenerate_suite(cfg)
-    assert report.passed
-    assert abs(report.sigma2) <= 1e-6
-    assert report.sup_growth.passed
-    assert report.zero_beyond is not None
-    assert all(row["below_bound"] for row in report.moment["rows"])
+    report, tables = run_degenerate_suite(cfg)
+    assert report["passed"]
+    assert abs(report["sigma2"]) <= 1e-6
+    assert report["sup_growth"]["passed"]
+    assert report["zero_beyond"] is not None
+    assert all(row["below_bound"] for row in tables["moments"])
 
 
 def test_degenerate_suite_rejects_nondegenerate(flip25):
@@ -301,8 +301,8 @@ def test_degeneracy_decided_by_certified_interval(monkeypatch, flip25):
 def bundle(cfg, report):
     config = {"process": process_to_config(cfg.process), "n_list": list(cfg.n_list),
               "seed": cfg.seed}
-    return {"config": config, "summary": report.to_dict(),
-            "tables": {"rates": list(report.rows)}}
+    summary, tables = report
+    return {"config": config, "summary": summary, "tables": tables}
 
 
 def test_emit_report_byte_stable(tmp_path, flip25):
@@ -335,8 +335,7 @@ def test_emit_report_validates_before_writing(tmp_path):
 
 def test_rerun_gives_identical_results(flip25):
     cfg = small_config(flip25, n_list=[256, 512], replicates=16)
-    r1 = run_rate_experiment(cfg)
-    r2 = run_rate_experiment(cfg)
-    assert r1.exponent == r2.exponent
-    assert [row["error_l2"] for row in r1.rows] == \
-           [row["error_l2"] for row in r2.rows]
+    (r1, t1), (r2, t2) = run_rate_experiment(cfg), run_rate_experiment(cfg)
+    assert r1["exponent"] == r2["exponent"]
+    assert [row["error_l2"] for row in t1["rates"]] == \
+           [row["error_l2"] for row in t2["rates"]]

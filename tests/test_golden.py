@@ -28,5 +28,13 @@ def test_outputs_match_golden_manifest(tmp_path):
         pytest.skip("golden manifest made under another environment: " + "; ".join(differ))
     assert sorted(manifest["runs"]) == sorted(golden.RUNS)
     hashes = golden.run_hashes(str(tmp_path))
-    changed = [name for name in golden.RUNS if hashes[name] != manifest["runs"][name]]
+    changed = [f"{name}/{entry}" for name in golden.RUNS
+               for entry in _differing(hashes[name], manifest["runs"][name])]
     assert not changed, f"outputs differ from the golden manifest: {changed}"
+
+
+def _differing(run: dict, pinned: dict) -> list[str]:
+    """`stdout` and the names of the files whose hash, or presence, differs."""
+    files = sorted({*run["files"], *pinned["files"]})
+    return ([] if run["stdout"] == pinned["stdout"] else ["stdout"]) + \
+        [name for name in files if run["files"].get(name) != pinned["files"].get(name)]

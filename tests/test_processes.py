@@ -71,6 +71,8 @@ def test_square_stationary_solve_matches_elimination(rows):
 def test_empty_or_mismatched_chain_rejected():
     with pytest.raises(ValueError, match="nonempty square matrix"):
         build_finite_chain(np.zeros((0, 0)), [], 1.0)
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        build_finite_chain([[0.75, 0.25], [1.0]], [1.0, -1.0], 1.0)
     for observable in ([], [1.0, 0.0, -1.0]):
         with pytest.raises(ValueError, match="one value per state"):
             build_finite_chain([[0.5, 0.5], [0.5, 0.5]], observable, 1.0)
